@@ -19,19 +19,16 @@ number of interleaving prefixes, computed by multinomials.
 ``reachable()`` loop verbatim (the A1–A4 before/after pattern) and the
 bivalence verdicts are asserted identical across the port.
 
-The A10 section (``--smoke`` runs a reduced version of it) is the
-serial-vs-sharded A/B: each leg runs ``explore(...)`` with and without
-``workers=``, **asserts verdict + state-count parity** on every
-exhaustive pair (the hard gate — a sharded engine that explores a
-different state space is wrong, not slow), and records wall times into
-``BENCH_explore_sharded.json``.  SCD legs run with ``reduce=False``
-because AMP send sequence numbers make sleep-set choice identity
-prefix-dependent there (state counts under POR are then
-traversal-order-dependent in *both* engines); without the reduction
-parity is exact.  The ≥2× speedup claim is only
-asserted when the box actually has ≥4 CPUs; on smaller machines the
-honest wall times are recorded and the gate is reported as skipped
-(the ``gate`` field of the speedup case says which happened).
+The A10 section (``--smoke`` runs a reduced version of it) times the
+serial engine on the search sizes the artifact tracks and writes
+``BENCH_explore.json``.  Every exhaustive leg **asserts its verdict and
+pinned state count** (the hard gate — an engine that explores a
+different state space is wrong, not slow).  SCD legs run with
+``reduce=False`` because AMP send sequence numbers make sleep-set
+choice identity prefix-dependent there (state counts under POR are
+then traversal-order-dependent); without the reduction the count is
+the exact reachable set.  The three-broadcaster SCD leg is bounded by a
+state budget and recorded as measured.
 
 Also runnable standalone (CI smoke): ``python benchmarks/bench_explore.py --smoke``.
 """
@@ -215,79 +212,61 @@ def compare(sizes: Tuple[int, ...] = (2, 3)) -> Tuple[List[tuple], Dict[str, flo
     return rows, factors
 
 
-def _sharded_leg(
+#: Exhaustive A10 legs: label → pinned (states, transitions).
+A10_PINNED = {
+    "adopt-commit n=3": (4405, 5407),
+    "adopt-commit n=4": (326_766, 441_229),
+    "scd 2-broadcasters": (4037, 10_690),
+}
+
+
+def _explore_leg(
     cases: List[dict],
     label: str,
     n: int,
     make_model,
     make_properties,
-    workers: Optional[int] = None,
     strategy: Optional[BFS] = None,
     reduce: bool = True,
 ):
-    """Run one A10 leg, append its artifact case, return (result, wall_s)."""
+    """Run one A10 leg, append its artifact case, return the result."""
     start = time.perf_counter()
     result = explore(
         make_model(),
         properties=make_properties(),
         strategy=strategy,
         reduce=reduce,
-        workers=workers,
     )
     wall = time.perf_counter() - start
-    case = {
+    cases.append({
         "case": label,
         "n": n,
         "wall_s": round(wall, 3),
         "peak_rss_bytes": peak_rss_bytes(),
         "payload_units": 0,  # exploration moves no protocol payload
-        "workers": 0 if workers is None else workers,
         "reduce": reduce,
         "states": result.stats.states,
         "transitions": result.stats.transitions,
         "ok": result.ok,
         "complete": result.complete,
-    }
-    if workers is not None:
-        case["supersteps"] = result.supersteps
-        case["workers_used"] = result.workers_used
-        case["pool_fallback"] = result.pool_fallback
-    cases.append(case)
-    return result, wall
+    })
+    if label in A10_PINNED:
+        assert result.ok and result.complete, f"{label}: verdict changed"
+        found = (result.stats.states, result.stats.transitions)
+        assert found == A10_PINNED[label], (
+            f"{label}: (states, transitions) {found} != {A10_PINNED[label]}"
+        )
+    return result
 
 
-def _sharded_pair(
-    cases: List[dict], label: str, n: int, make_model, make_properties,
-    workers: int, reduce: bool = True,
-):
-    """Serial + sharded legs of one workload, with the parity gate."""
-    serial, serial_wall = _sharded_leg(
-        cases, f"{label} serial", n, make_model, make_properties, reduce=reduce
-    )
-    sharded, sharded_wall = _sharded_leg(
-        cases, f"{label} workers={workers}", n, make_model, make_properties,
-        workers=workers, reduce=reduce,
-    )
-    assert (sharded.ok, sharded.complete) == (serial.ok, serial.complete), (
-        f"{label}: sharded verdict diverged from serial"
-    )
-    assert sharded.stats.states == serial.stats.states, (
-        f"{label}: state-count parity broken "
-        f"({sharded.stats.states} sharded vs {serial.stats.states} serial)"
-    )
-    return serial_wall, sharded_wall
-
-
-def sharded_compare(smoke: bool = False, workers: int = 4) -> List[dict]:
-    """The A10 serial-vs-sharded A/B; returns the artifact cases.
+def explore_legs(smoke: bool = False) -> List[dict]:
+    """The A10 serial exploration legs; returns the artifact cases.
 
     Smoke mode runs adopt-commit n=3 only (seconds); the full run adds
     exhaustive adopt-commit n=4, exhaustive SCD with two broadcasters
     (``reduce=False`` — see the module docstring for why POR state
-    counts are order-dependent on SCD), and a bounded SCD
-    three-broadcaster leg (sharded only — the budget is checked at
-    superstep barriers, so bounded runs have no serial state-count
-    parity to assert).
+    counts are order-dependent on SCD), and SCD with three broadcasters
+    bounded at 60,000 states.
     """
     cases: List[dict] = []
 
@@ -298,86 +277,42 @@ def sharded_compare(smoke: bool = False, workers: int = 4) -> List[dict]:
                      adopt_commit_validity(list(range(n)))],
         )
 
-    make, props = adopt(3)
-    serial_wall, sharded_wall = _sharded_pair(
-        cases, "adopt-commit n=3", 3, make, props, workers
-    )
-
+    _explore_leg(cases, "adopt-commit n=3", 3, *adopt(3))
     if not smoke:
-        make, props = adopt(4)
-        serial_wall, sharded_wall = _sharded_pair(
-            cases, "adopt-commit n=4", 4, make, props, workers
-        )
-        # SCD legs run with reduce=False: AMP choice labels embed send
-        # sequence numbers that depend on the schedule prefix, while
-        # fingerprints are sequence-agnostic, so per-fingerprint sleep
-        # sets alias choices across converging prefixes and the POR
-        # state count becomes traversal-order-dependent (serial and
-        # sharded each deterministic, but different).  Without the
-        # reduction both engines visit the exact reachable set and
-        # parity is byte-for-byte — see docs/EXPLORER.md.
-        _sharded_pair(
+        _explore_leg(cases, "adopt-commit n=4", 4, *adopt(4))
+        _explore_leg(
             cases, "scd 2-broadcasters", 3,
             lambda: AmpModel(make_scd_nodes([["a"], ["b"], []])),
             lambda: [scd_coherence()],
-            workers,
             reduce=False,
         )
-        # Past two broadcasters: sharded-only, bounded by a state budget
-        # (barrier-checked budgets make bounded serial/sharded state
-        # counts incomparable by design — see docs/EXPLORER.md).  POR
-        # stays on here: with no parity assert, the reduction just buys
-        # more protocol depth per state-budget dollar.
-        bounded, _ = _sharded_leg(
+        # Past two broadcasters the space does not close in bench time:
+        # bounded by a state budget, POR on (more protocol depth per
+        # state), verdict "no violation within the bound".
+        bounded = _explore_leg(
             cases, "scd 3-broadcasters (bounded)", 3,
             lambda: AmpModel(make_scd_nodes([["a"], ["b"], ["c"]])),
             lambda: [scd_coherence()],
-            workers=workers,
             strategy=BFS(max_states=60_000),
         )
         assert bounded.ok, "scd coherence must hold within the bound"
-
-    speedup = serial_wall / sharded_wall if sharded_wall > 0 else 0.0
-    cpus = os.cpu_count() or 1
-    if cpus >= workers:
-        assert speedup >= 2.0, (
-            f"expected >=2x speedup at workers={workers} on a {cpus}-CPU box, "
-            f"got {speedup:.2f}x"
-        )
-        gate = f"asserted (>=2x on {cpus} CPUs): {speedup:.2f}x"
-    else:
-        gate = (
-            f"skipped ({cpus} CPU(s) < workers={workers}; "
-            f"measured {speedup:.2f}x)"
-        )
-    cases.append({
-        "case": "speedup adopt-commit (largest exhaustive pair)",
-        "n": workers,
-        "wall_s": round(sharded_wall, 3),
-        "peak_rss_bytes": peak_rss_bytes(),
-        "payload_units": 0,
-        "speedup_vs_serial": round(speedup, 3),
-        "cpus": cpus,
-        "gate": gate,
-    })
     return cases
 
 
-def write_sharded_artifact(cases: List[dict], out_dir: str = ".") -> str:
+def write_explore_artifact(cases: List[dict], out_dir: str = ".") -> str:
     os.makedirs(out_dir, exist_ok=True)
-    cpus = os.cpu_count() or 1
     return write_bench_artifact(
-        "explore_sharded",
+        "explore",
         cases,
         out_dir=out_dir,
         unit="one exhaustive (or explicitly bounded) exploration",
         extra_meta={
-            "cpus": cpus,
+            "cpus": os.cpu_count() or 1,
             "payload_note": "payload_units is 0: exploration is pure search",
-            "parity_note": (
-                "every serial/sharded pair asserted verdict + state-count "
-                "parity before this file was written; SCD pairs run "
-                "reduce=False (AMP send seqs make POR state counts "
+            "pin_note": (
+                "every exhaustive leg asserted its verdict and pinned "
+                "(states, transitions) before this file was written; SCD "
+                "runs reduce=False (AMP send seqs make POR state counts "
                 "traversal-order-dependent — docs/EXPLORER.md)"
             ),
         },
@@ -436,7 +371,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="n=2 only + a reduced sharded A/B, semantic checks only (CI)",
+        help="n=2 only + the n=3 A10 leg, semantic checks only (CI)",
     )
     parser.add_argument("--out", default=".", help="artifact directory")
     args = parser.parse_args(argv)
@@ -451,15 +386,12 @@ def main(argv=None):
     nodes, edges = bivalence_parity()
     print(f"bivalence parity: {nodes} configs / {edges} edges identical")
 
-    cases = sharded_compare(smoke=args.smoke)
+    cases = explore_legs(smoke=args.smoke)
     for case in cases:
-        if "states" in case:
-            print(f"{case['case']:>38}  {case['states']:>9,} states  "
-                  f"{case['wall_s']:>8.2f}s  "
-                  f"{'complete' if case['complete'] else 'bounded'}")
-        else:
-            print(f"{case['case']:>38}  {case['gate']}")
-    artifact = write_sharded_artifact(cases, out_dir=args.out)
+        print(f"{case['case']:>38}  {case['states']:>9,} states  "
+              f"{case['wall_s']:>8.2f}s  "
+              f"{'complete' if case['complete'] else 'bounded'}")
+    artifact = write_explore_artifact(cases, out_dir=args.out)
     print(f"wrote {artifact}")
     print(f"total {time.perf_counter() - start:.2f}s")
 

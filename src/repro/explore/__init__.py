@@ -33,12 +33,6 @@ from .engine import (
     state_graph,
 )
 from .model import ExplorationModel, Interner
-from .sharded import (
-    ShardedExplorer,
-    ShardedExploreResult,
-    schedule_key,
-    shard_of,
-)
 from .spill import SpillDict
 from .properties import (
     Eventually,
@@ -91,11 +85,7 @@ __all__ = [
     "child_sleep_set",
     "explore",
     "state_graph",
-    "ShardedExplorer",
-    "ShardedExploreResult",
     "SpillDict",
-    "schedule_key",
-    "shard_of",
     "Property",
     "Invariant",
     "Eventually",

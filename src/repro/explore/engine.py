@@ -27,12 +27,10 @@ unique state; the first violation's schedule is materialized into a
 replayable :class:`~repro.explore.counterexample.Counterexample`.
 
 The dedup/revisit rule and the child-sleep computation are factored
-into :class:`VisitedStore` and :func:`child_sleep_set` — the seams the
-sharded engine (:mod:`repro.explore.sharded`, reached via
-``explore(..., workers=N)``) shares with this loop, so the serial and
-parallel searches cannot drift apart.  ``spill_dir=`` swaps the
-visited backing for a disk-spilling LRU store
-(:class:`~repro.explore.spill.SpillDict`).
+into :class:`VisitedStore` and :func:`child_sleep_set`.  ``spill_dir=``
+swaps the visited backing for a disk-spilling LRU store
+(:class:`~repro.explore.spill.SpillDict`), so the search is bounded by
+disk rather than RAM.
 
 :func:`state_graph` is the unreduced enumeration (config →
 successors), kept for clients that need the whole graph — the
@@ -49,7 +47,6 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -81,42 +78,13 @@ class ExploreStats:
         # zero-duration clock, and "inf states/s" in a report is noise.
         return self.states / self.elapsed if self.elapsed > 0 else 0.0
 
-    def merge_in(self, other: "ExploreStats") -> None:
-        """Fold another stats block into this one (field-wise).
-
-        Counters add; ``max_depth_seen`` and ``elapsed`` take the max —
-        shard workers run concurrently, so summing their wall clocks
-        would double-count time.  Used by the sharded engine to combine
-        per-shard deltas; the fold is order-insensitive, so the merged
-        result is identical at any worker count.
-        """
-        self.states += other.states
-        self.transitions += other.transitions
-        self.deduped += other.deduped
-        self.sleep_pruned += other.sleep_pruned
-        self.terminals += other.terminals
-        self.spilled += other.spilled
-        if other.max_depth_seen > self.max_depth_seen:
-            self.max_depth_seen = other.max_depth_seen
-        if other.elapsed > self.elapsed:
-            self.elapsed = other.elapsed
-
-    @classmethod
-    def merge(cls, parts: Iterable["ExploreStats"]) -> "ExploreStats":
-        """Deterministic fold of many stats blocks (see :meth:`merge_in`)."""
-        total = cls()
-        for part in parts:
-            total.merge_in(part)
-        return total
-
 
 class VisitedStore:
     """The dedup seam: fingerprint → stored sleep set, with the revisit rule.
 
     Encapsulates the one stateful decision of the search — *have we been
-    here, and with which sleep set?* — so the serial engine, the sharded
-    per-shard workers, and the disk-spill backend all share one
-    implementation of Godefroid's state-caching fix:
+    here, and with which sleep set?* — so the in-memory and disk-spill
+    backings share one implementation of Godefroid's state-caching fix:
 
     * first visit: store the sleep set, explore ``enabled - sleep``;
     * revisit with a smaller sleep set: the stored-minus-new choices
@@ -169,8 +137,6 @@ def child_sleep_set(
     A sibling choice stays asleep in ``choice``'s child iff it commutes
     with ``choice`` from here — both orders reach the same state, and
     the other order is (or will be) explored from a sibling branch.
-    Shared verbatim by the serial and sharded engines so the reduction
-    cannot drift between them.
     """
     return frozenset(
         other
@@ -472,37 +438,10 @@ def explore(
     strategy: Optional[Strategy] = None,
     reduce: bool = True,
     stop_on_first: bool = True,
-    workers: Optional[int] = None,
     spill_dir: Optional[str] = None,
     spill_entries: int = 200_000,
-    **sharded_opts,
 ) -> ExploreResult:
-    """One-call front door: build an :class:`Explorer` and run it.
-
-    ``workers=None`` (default) runs the serial engine in-process.  Any
-    integer ``workers >= 1`` routes to the sharded superstep engine
-    (:class:`~repro.explore.sharded.ShardedExplorer`) — including
-    ``workers=1``, which runs the same superstep algorithm on one shard
-    and is the baseline the determinism tests compare against.  Extra
-    keyword arguments (``shards=``, ``por_boundary=``, ...) are only
-    valid together with ``workers``.
-
-    ``spill_dir`` works in both modes: the visited set (or each visited
-    shard) overflows to SQLite files in that directory.
-    """
-    if workers is not None:
-        from .sharded import ShardedExplorer
-
-        return ShardedExplorer(
-            model, properties=properties, strategy=strategy,
-            reduce=reduce, stop_on_first=stop_on_first,
-            workers=workers, spill_dir=spill_dir,
-            spill_entries=spill_entries, **sharded_opts,
-        ).run()
-    if sharded_opts:
-        raise ConfigurationError(
-            f"explore() options {sorted(sharded_opts)} require workers=N"
-        )
+    """One-call front door: build an :class:`Explorer` and run it."""
     return Explorer(
         model, properties=properties, strategy=strategy,
         reduce=reduce, stop_on_first=stop_on_first,

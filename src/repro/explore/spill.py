@@ -17,10 +17,8 @@ depending on interning history.  ``repr`` of the fingerprint types the
 explorer produces is injective and canonical.  Values (sleep sets) are
 pickled; they are only ever read back, never compared as bytes.
 
-The SQLite handle is opened lazily on first spill/lookup-miss, which
-keeps a freshly constructed ``SpillDict`` safe to inherit across
-``fork()`` — each shard worker opens its own connection after the fork
-(SQLite connections must not cross process boundaries).
+The SQLite handle is opened lazily on the first spill, so a search
+that fits in the hot cache never touches the disk.
 
 Durability is deliberately zero (``journal_mode=OFF``,
 ``synchronous=OFF``): the store is a scratch overflow that dies with

@@ -23,7 +23,6 @@ Design rules that keep this true:
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -36,26 +35,8 @@ T = TypeVar("T")
 #: Exception types that mean "the process pool itself is unusable" (as
 #: opposed to a bug in the mapped function): broken/missing subprocess
 #: support, unpicklable payloads, factories defined in un-importable
-#: modules.  Public so other pool users (the sharded explorer) degrade
-#: on exactly the same failures as :func:`run_many`.
-POOL_ERRORS = (BrokenProcessPool, OSError, pickle.PicklingError, AttributeError)
-_POOL_ERRORS = POOL_ERRORS
-
-
-def fork_context() -> Tuple[Optional[multiprocessing.context.BaseContext], Optional[str]]:
-    """The ``fork`` multiprocessing context, or why it is unavailable.
-
-    Returns ``(context, None)`` when fork-start workers can be used, and
-    ``(None, reason)`` otherwise (e.g. on platforms without ``fork``).
-    Fork-start matters to callers whose worker state is *not picklable*
-    (closures over protocol factories): children inherit the parent's
-    memory image, so the state crosses the process boundary without ever
-    being serialized.
-    """
-    try:
-        return multiprocessing.get_context("fork"), None
-    except ValueError as exc:
-        return None, f"fork start method unavailable: {exc}"
+#: modules.
+_POOL_ERRORS = (BrokenProcessPool, OSError, pickle.PicklingError, AttributeError)
 
 
 class RunList(List[T]):

@@ -18,10 +18,9 @@ feasible.
 Two implementations with identical observable behavior:
 
 * :class:`AggregateFlooding` — a per-process
-  :class:`~repro.sync.kernel.SyncAlgorithm` for the object kernel and
-  the compat array path;
+  :class:`~repro.sync.kernel.SyncAlgorithm` for the object kernel;
 * :class:`ColumnarAggregateFlooding` — one
-  :class:`~repro.sync.arraykernel.ColumnarAlgorithm` for the true
+  :class:`~repro.sync.arraykernel.ColumnarAlgorithm` for the
   mega-scale path (the value column is one Python list; a round is one
   scan over the delivery buffers).
 
@@ -56,7 +55,7 @@ def _resolve_merge(op: str):
 
 
 class AggregateFlooding(SyncAlgorithm):
-    """Per-process change-propagation aggregation (object/compat path)."""
+    """Per-process change-propagation aggregation (object kernel)."""
 
     def __init__(self, rounds: int, op: str = "min") -> None:
         if rounds < 1:

@@ -426,25 +426,9 @@ def run_synchronous(
     topology: Topology,
     algorithms: Sequence[SyncAlgorithm],
     inputs: Sequence[object],
-    backend: str = "object",
     **kwargs,
 ) -> SyncRunResult:
-    """Convenience wrapper: build a runner and run it.
-
-    ``backend="object"`` (default) uses :class:`SynchronousRunner`;
-    ``backend="array"`` uses the flat-column
-    :class:`~repro.sync.arraykernel.ArraySynchronousRunner`, which runs
-    the same algorithms observationally equivalently (same results,
-    counters, and trace hashes) with flat per-process state.
-    """
-    if backend == "array":
-        from .arraykernel import ArraySynchronousRunner
-
-        return ArraySynchronousRunner(topology, algorithms, inputs, **kwargs).run()
-    if backend != "object":
-        raise ConfigurationError(
-            f"unknown sync backend {backend!r} (expected 'object' or 'array')"
-        )
+    """Convenience wrapper: build a :class:`SynchronousRunner` and run it."""
     return SynchronousRunner(topology, algorithms, inputs, **kwargs).run()
 
 

@@ -1,13 +1,16 @@
-"""Observational equivalence: array backend vs object kernel.
+"""Observational equivalence: columnar engine vs object kernel.
 
-The golden matrix from the issue: {flooding, FloodSet, early-stopping,
-coloring, MIS, Luby} x {clean, message adversary, mid-send crash} x
-{ring, torus, random-regular}.  Each cell runs both backends with
-identical configuration and asserts the *trace hashes* are equal —
-byte-for-byte identical event streams, not just matching outputs.
+The golden matrix: change-propagation aggregate flooding x {clean,
+message adversary, mid-send crash} x {ring, torus, random-regular},
+plus a TREE-adversary cell and an adversary-plus-crash cell.
+Each cell runs the per-process :class:`AggregateFlooding` on the object
+kernel and :class:`ColumnarAggregateFlooding` on the
+:class:`ColumnarRunner` with identical configuration, and asserts equal
+results and counters (the trace granularity differs by construction,
+so hashes are not compared across engines).
 
-Algorithms that assume a reliable/clean network (coloring, MIS, Luby)
-only occupy their valid cells, as the issue allows.
+The literal trace hashes in :data:`PINNED` and the pid-relabeling
+property run on the object kernel.
 """
 
 import pytest
@@ -18,13 +21,11 @@ from repro.sync import run_synchronous
 from repro.sync.adversary import BoundedDropAdversary, TreeAdversary
 from repro.sync.algorithms import (
     AggregateFlooding,
-    ColorToMIS,
-    make_early_stopping,
+    ColumnarAggregateFlooding,
     make_flooders,
     make_floodset,
-    make_luby,
-    make_ring_colorers,
 )
+from repro.sync.arraykernel import run_columnar
 from repro.sync.flatgraph import flat_random_regular
 from repro.sync.kernel import CrashEvent
 from repro.sync.topology import grid, ring
@@ -42,121 +43,74 @@ FAULTS = {
     "crash": (None, (CrashEvent(pid=1, round=2, delivered_to=frozenset({0})),)),
 }
 
-ALGORITHMS = {
-    "flooding": lambda n: make_flooders(n, rounds=8),
-    "floodset": lambda n: make_floodset(n, t=2),
-    "early-stopping": lambda n: make_early_stopping(n, t=2),
-}
+ROUNDS = 6
 
 
-def run_both(topo, make_algs, inputs, mkadv=None, crashes=()):
-    """Run both backends; return ((result, hash), (result, hash))."""
-    out = []
-    for backend in ("object", "array"):
-        sink = MemorySink()
-        result = run_synchronous(
-            topo,
-            make_algs(),
-            inputs,
-            backend=backend,
-            adversary=mkadv() if mkadv else None,
-            crash_schedule=crashes,
-            sink=sink,
-        )
-        out.append((result, trace_hash(sink.events)))
-    return out
+def assert_columnar_matches(topo, mkadv=None, crashes=()):
+    """Run both engines on one configuration; assert equal observables."""
+    n = topo.n
+    inputs = [(7 * i + 3) % 29 for i in range(n)]
+    obj = run_synchronous(
+        topo,
+        [AggregateFlooding(rounds=ROUNDS, op="min") for _ in range(n)],
+        inputs,
+        adversary=mkadv() if mkadv else None,
+        crash_schedule=crashes,
+    )
+    col = run_columnar(
+        topo,
+        ColumnarAggregateFlooding(rounds=ROUNDS, op="min"),
+        inputs,
+        adversary=mkadv() if mkadv else None,
+        crash_schedule=crashes,
+    )
+    assert col.outputs == obj.outputs
+    assert col.rounds == obj.rounds
+    assert col.decided == obj.decided
+    assert col.halted == obj.halted
+    assert col.crashed == obj.crashed
+    assert col.messages_sent == obj.messages_sent
+    assert col.message_count == obj.message_count
+    assert col.payload_sent == obj.payload_sent
+    assert col.payload_delivered == obj.payload_delivered
 
 
-def assert_equivalent(topo, make_algs, inputs, mkadv=None, crashes=()):
-    (res_o, h_o), (res_a, h_a) = run_both(topo, make_algs, inputs, mkadv, crashes)
-    assert h_o == h_a, "trace hashes diverge between backends"
-    assert res_a.outputs == res_o.outputs
-    assert res_a.rounds == res_o.rounds
-    assert res_a.decided == res_o.decided
-    assert res_a.halted == res_o.halted
-    assert res_a.crashed == res_o.crashed
-    assert res_a.messages_sent == res_o.messages_sent
-    assert res_a.message_count == res_o.message_count
-    assert res_a.payload_sent == res_o.payload_sent
-    assert res_a.payload_delivered == res_o.payload_delivered
-
-
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
 @pytest.mark.parametrize("fault_name", sorted(FAULTS))
 @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
-def test_matrix(alg_name, fault_name, topo_name):
-    topo = TOPOLOGIES[topo_name]()
-    n = topo.n
+def test_matrix(fault_name, topo_name):
     mkadv, crashes = FAULTS[fault_name]
-    if alg_name == "flooding":
-        inputs = [10 + i for i in range(n)]
-    else:
-        inputs = [i % 2 for i in range(n)]
-    assert_equivalent(topo, lambda: ALGORITHMS[alg_name](n), inputs, mkadv, crashes)
-
-
-@pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
-def test_mis_clean(topo_name):
-    topo = TOPOLOGIES[topo_name]()
-    n = topo.n
-    assert_equivalent(
-        topo, lambda: [ColorToMIS(pid, n) for pid in range(n)], [None] * n
-    )
-
-
-@pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
-def test_luby_clean(topo_name):
-    topo = TOPOLOGIES[topo_name]()
-    assert_equivalent(topo, lambda: make_luby(topo.n, seed=4), [None] * topo.n)
-
-
-def test_coloring_ring_clean():
-    n = 9
-    assert_equivalent(ring(n), lambda: make_ring_colorers(n), [None] * n)
+    assert_columnar_matches(TOPOLOGIES[topo_name](), mkadv, crashes)
 
 
 def test_tree_adversary_cell():
-    n = 9
-    assert_equivalent(
-        ring(n),
-        lambda: make_flooders(n, rounds=6),
-        list(range(n)),
-        mkadv=lambda: TreeAdversary(seed=5),
-    )
+    assert_columnar_matches(ring(9), mkadv=lambda: TreeAdversary(seed=5))
 
 
 def test_adversary_plus_crash():
-    topo = grid(3, 4, torus=True)
-    n = topo.n
-    assert_equivalent(
-        topo,
-        lambda: make_flooders(n, rounds=8),
-        [10 + i for i in range(n)],
+    assert_columnar_matches(
+        grid(3, 4, torus=True),
         mkadv=lambda: BoundedDropAdversary(max_drops=2, seed=3),
         crashes=(CrashEvent(pid=1, round=2, delivered_to=frozenset({0})),),
     )
 
 
 class TestPinnedHashes:
-    """Literal golden hashes — any backend must keep reproducing these."""
+    """Literal golden hashes of the object kernel's event stream."""
 
     def _hash(self, **kwargs):
         sink = MemorySink()
         run_synchronous(sink=sink, **kwargs)
         return trace_hash(sink.events)
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_flooding_clean_ring(self, backend):
+    def test_flooding_clean_ring(self):
         h = self._hash(
             topology=ring(8),
             algorithms=make_flooders(8, rounds=6),
             inputs=[10 + i for i in range(8)],
-            backend=backend,
         )
         assert h == PINNED["flooding-clean-ring8"]
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_flooding_crash_torus(self, backend):
+    def test_flooding_crash_torus(self):
         h = self._hash(
             topology=grid(3, 4, torus=True),
             algorithms=make_flooders(12, rounds=6),
@@ -164,18 +118,15 @@ class TestPinnedHashes:
             crash_schedule=(
                 CrashEvent(pid=1, round=2, delivered_to=frozenset({0})),
             ),
-            backend=backend,
         )
         assert h == PINNED["flooding-crash-torus3x4"]
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_floodset_adversary_rr(self, backend):
+    def test_floodset_adversary_rr(self):
         h = self._hash(
             topology=flat_random_regular(10, 3, seed=2).to_topology(),
             algorithms=make_floodset(10, t=2),
             inputs=[i % 2 for i in range(10)],
             adversary=BoundedDropAdversary(max_drops=2, seed=3),
-            backend=backend,
         )
         assert h == PINNED["floodset-adversary-rr10"]
 
@@ -200,7 +151,7 @@ PINNED = {
     data=st.data(),
 )
 def test_pid_relabeling_metamorphic(n, seed, data):
-    """Relabeling pids commutes with execution on the array backend.
+    """Relabeling pids commutes with execution on the object kernel.
 
     Run min-aggregation flooding on ring(n), then on the pid-relabeled
     ring; outputs must satisfy out'[perm[p]] == out[p] and the global
@@ -231,7 +182,6 @@ def test_pid_relabeling_metamorphic(n, seed, data):
             topo,
             [AggregateFlooding(rounds=rounds, op="min") for _ in range(n)],
             ins,
-            backend="array",
         )
 
     res = run(base, inputs)

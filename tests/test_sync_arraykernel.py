@@ -1,4 +1,4 @@
-"""Unit tests for the flat-column backend (compat runner + columnar)."""
+"""Unit tests for the columnar engine (ColumnarRunner + ColumnarAlgorithm)."""
 
 import pytest
 
@@ -7,17 +7,14 @@ from repro.core.exceptions import (
     ModelViolation,
     SimulationLimitExceeded,
 )
-from repro.sync import run_synchronous
 from repro.sync.arraykernel import (
-    ArraySynchronousRunner,
     ColumnarAlgorithm,
     ColumnarRunner,
     run_columnar,
 )
-from repro.sync.algorithms import ColumnarAggregateFlooding, make_flooders
+from repro.sync.algorithms import ColumnarAggregateFlooding
 from repro.sync.flatgraph import flat_ring, flat_torus
 from repro.sync.kernel import CrashEvent
-from repro.sync.topology import ring
 
 
 class Chatterbox(ColumnarAlgorithm):
@@ -173,25 +170,3 @@ class TestColumnarSemantics:
         full = n * 2 * rounds  # every process re-broadcasting every round
         assert result.messages_sent < full / 4
 
-
-class TestArrayRunnerUnit:
-    def test_algorithm_count_must_match(self):
-        with pytest.raises(ConfigurationError):
-            ArraySynchronousRunner(ring(6), make_flooders(5), [0] * 6)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_synchronous(
-                ring(6), make_flooders(6), [0] * 6, backend="vector"
-            )
-
-    def test_array_backend_accepts_flatgraph_topology(self):
-        topo = flat_ring(8).to_topology()
-        result = run_synchronous(
-            topo,
-            make_flooders(8, rounds=4),
-            list(range(8)),
-            backend="array",
-        )
-        assert result.rounds == 4
-        assert all(out == tuple(range(8)) for out in result.outputs)
