@@ -41,21 +41,23 @@ class _NoSanitizeRuntime(AsyncRuntime):
     """The AMP send path with the sanitize branch deleted — the
     pre-sanitizer kernel, reinstated verbatim as the overhead baseline."""
 
-    def _send(self, src, dst, payload):
+    def _send(self, src, dst, payload, units=None):
         if not 0 <= dst < self.n:
             raise ModelViolation(f"process {src} sent to unknown process {dst}")
         if src in self.crashed:
-            return
+            return None
         delay = self.delay_model.delay(src, dst, self.now, self._rng)
         if delay <= 0:
             raise ConfigurationError("delay model produced non-positive delay")
-        units = payload_units(payload)
+        if units is None:
+            units = payload_units(payload)
         event_id = self._push(self.now + delay, "deliver", (src, dst, payload, units))
         self._in_flight[src].add(event_id)
         self.messages_sent += 1
         self.payload_sent += units
         if self._sink is not None:
             self._sink.amp_send(event_id, src, dst, payload, units, self.now)
+        return units
 
 
 # -- workloads (one per kernel) ----------------------------------------------

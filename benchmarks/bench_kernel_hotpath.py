@@ -39,7 +39,8 @@ class _LegacyRuntime(AsyncRuntime):
         super().__init__(*args, **kwargs)
         self._in_flight = {pid: [] for pid in range(self.n)}
 
-    def _send(self, src, dst, payload):
+    def _send(self, src, dst, payload, units=None):
+        # The legacy kernel meters nothing, so pre-measured units are ignored.
         from repro.core.exceptions import ConfigurationError, ModelViolation
 
         if not 0 <= dst < self.n:

@@ -11,12 +11,19 @@ Every backend runs **twice**; the run's ``stats_digest`` (sha256 over
 all schedule-derived numbers: latency percentiles, throughput, payload
 units, final replica state) must match byte-for-byte across the
 reruns — the acceptance bar that the whole service stack is
-deterministic.  Results land in ``BENCH_kvservice.json``.
+deterministic.  The full run then checks each backend's
+``stats_digest``, ``messages_sent`` and ``payload_units`` against the
+committed ``BENCH_kvservice.json`` and exits non-zero on any mismatch,
+before it writes anything; only ``wall_s`` and ``peak_rss_bytes`` may
+move.  A change that alters the schedule on purpose edits those pins in
+the artifact by hand and declares them.
 
 CI smoke: ``python benchmarks/bench_kvservice.py --smoke`` does the
-same with a ~1.5k-op workload, bounded to seconds.
+same rerun check with a ~1.5k-op workload, bounded to seconds.
 """
 
+import json
+import pathlib
 import time
 
 from bench_json import peak_rss_bytes, write_bench_artifact
@@ -78,6 +85,27 @@ def run_backend(spec, backend, n=3, seed=1):
     }
 
 
+#: The committed full-run artifact the full run is checked against.
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kvservice.json"
+PINNED_FIELDS = ("stats_digest", "messages_sent", "payload_units")
+
+
+def reference_mismatches(cases):
+    """One line per pinned field of ``cases`` that differs from REFERENCE."""
+    committed = {
+        case["backend"]: case for case in json.loads(REFERENCE.read_text())["cases"]
+    }
+    problems = []
+    for case in cases:
+        pinned = committed[case["backend"]]
+        for key in PINNED_FIELDS:
+            if case[key] != pinned[key]:
+                problems.append(
+                    f"{case['backend']}.{key}: {case[key]} != committed {pinned[key]}"
+                )
+    return problems
+
+
 def main(argv=None):
     import argparse
 
@@ -89,6 +117,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     spec = SMOKE_SPEC if args.smoke else FULL_SPEC
     cases = [run_backend(spec, backend) for backend in BACKENDS]
+    if not args.smoke:
+        problems = reference_mismatches(cases)
+        if problems:
+            raise SystemExit(
+                "kvservice results differ from the committed artifact:\n  "
+                + "\n  ".join(problems)
+            )
     name = "kvservice_smoke" if args.smoke else "kvservice"
     path = write_bench_artifact(
         name,

@@ -324,16 +324,30 @@ class Context:
 
     # -- communication ----------------------------------------------------
 
-    def send(self, dst: int, payload: object) -> None:
-        """Send one message on the reliable channel to ``dst``."""
-        self._runtime._send(self.pid, dst, payload)
+    def send(
+        self, dst: int, payload: object, *, _units: Optional[int] = None
+    ) -> Optional[int]:
+        """Send one message on the reliable channel to ``dst``.
+
+        Returns the payload units the send was metered at (``None`` if a
+        crashed process sent nothing).  ``_units`` passes that figure
+        back in for another send of the *same* payload, which then skips
+        measuring it again; :meth:`broadcast` is the one caller.
+        """
+        return self._runtime._send(self.pid, dst, payload, _units)
 
     def broadcast(self, payload: object, include_self: bool = True) -> None:
-        """Send to every process (n sends; NOT reliable broadcast)."""
+        """Send to every process (n sends; NOT reliable broadcast).
+
+        Every send goes through :meth:`send` and is metered in full, but
+        the payload is measured once: the first send's units ride along
+        to the other n-1.
+        """
+        units = None
         for dst in range(self.n):
             if dst == self.pid and not include_self:
                 continue
-            self.send(dst, payload)
+            units = self.send(dst, payload, _units=units)
 
     def set_timer(self, delay: float, name: object = None) -> None:
         """Schedule ``on_timer(name)`` after ``delay`` time units."""
@@ -615,15 +629,23 @@ class AsyncRuntime:
         heapq.heappush(self._queue, (time, event_id, kind, data))
         return event_id
 
-    def _send(self, src: int, dst: int, payload: object) -> None:
+    def _send(
+        self, src: int, dst: int, payload: object, units: Optional[int] = None
+    ) -> Optional[int]:
+        """Meter and schedule one send; return its payload units.
+
+        ``units``, when given, is the already-measured size of
+        ``payload`` (see :meth:`Context.broadcast`).
+        """
         if not 0 <= dst < self.n:
             raise ModelViolation(f"process {src} sent to unknown process {dst}")
         if src in self.crashed:
-            return  # a crashed process sends nothing
+            return None  # a crashed process sends nothing
         if self._sanitize:
             payload = deep_freeze(payload)
         # Units ride along in the event so delivery never re-measures.
-        units = payload_units(payload)
+        if units is None:
+            units = payload_units(payload)
         # sent/payload_sent meter *logical* sends: what the protocol paid,
         # independent of what the wire did (loss and duplication show up in
         # the delivered counters instead).
@@ -638,7 +660,7 @@ class AsyncRuntime:
             if self._sink is not None:
                 self._sink.amp_send(event_id, src, dst, payload, units, self.now)
                 self._sink.amp_drop(event_id, self.now, reason="loss")
-            return
+            return units
         first_id: Optional[int] = None
         for extra in fates:
             delay = self.delay_model.delay(src, dst, self.now, self._rng)
@@ -656,6 +678,7 @@ class AsyncRuntime:
                     self._sink.amp_send_dup(event_id, first_id)
             if first_id is None:
                 first_id = event_id
+        return units
 
     def _set_timer(self, pid: int, delay: float, name: object) -> None:
         if delay < 0:

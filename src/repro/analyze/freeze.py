@@ -130,7 +130,8 @@ def deep_freeze(obj: Any) -> Any:
 
     Scalars, ``frozenset`` and already-frozen values pass through
     untouched.  Tuples are rebuilt only if a child changed, so interned
-    tuples (hash-consed IIS views) keep their identity under sanitizing.
+    tuples (hash-consed IIS views) keep their identity under sanitizing;
+    a rebuilt tuple subclass (namedtuple or other) keeps its type.
     Dataclass instances are rebuilt with ``dataclasses.replace`` when a
     field froze to a new object.  Unknown object types pass through
     unchanged — freezing is about the container graph a message carries.
@@ -145,6 +146,10 @@ def deep_freeze(obj: Any) -> Any:
             return obj
         if hasattr(obj, "_fields"):  # namedtuple
             return type(obj)(*frozen)
+        if type(obj) is not tuple:
+            # Keep the subclass: its methods (a __payload_units__ sizer,
+            # say) are part of what the message means.
+            return type(obj)(frozen)
         return frozen
     if isinstance(obj, list):
         return FrozenList(deep_freeze(item) for item in obj)

@@ -15,6 +15,27 @@ meter **payload units** — the number of scalar leaves a message carries:
 
 The unit is deliberately machine-independent (like rounds and Δ): two
 runs with the same message trace report identical volume on any host.
+
+Metering runs on every send of every kernel, so :func:`payload_units`
+dispatches on the *concrete* type first, in this order:
+
+1. the exact scalar types (``int``, ``float``, ``complex``, ``str``,
+   ``bytes``, ``bool``, ``NoneType``), first so that a sizer metering
+   its scalar fields one call at a time (``DeltaMessage``) stays cheap;
+2. ``tuple``, ``list``, ``set``, ``frozenset`` — the shape of nearly
+   every protocol message; their scalar leaves are counted inline,
+   without a call per leaf;
+3. ``dict``.
+
+Anything else — subclasses of those types (namedtuples, ``IntEnum``
+members, the sanitizer's ``FrozenList``/``FrozenDict``/
+``FrozenSetView``), sizer objects, non-dict mappings, opaque objects —
+takes the general ``isinstance`` walk, which is the definition of the
+unit.  The fast path only answers for types whose answer the walk
+would give anyway (none of them can carry a ``__payload_units__``), so
+counts are **exact**: a subclass still goes through its sizer and the
+sizer's validation, and a scalar subclass still counts 1 whatever it
+declares.
 """
 
 from __future__ import annotations
@@ -24,6 +45,8 @@ from typing import Mapping, Set, Tuple
 from .exceptions import ModelViolation
 
 _SCALARS = (int, float, complex, str, bytes, bool, type(None))
+_EXACT_SCALARS = frozenset(_SCALARS)
+_EXACT_COLLECTIONS = frozenset((tuple, list, set, frozenset))
 
 
 def payload_units(message: object) -> int:
@@ -36,7 +59,26 @@ def payload_units(message: object) -> int:
     (``bool`` does not count); anything else raises
     :class:`~repro.core.exceptions.ModelViolation` — a bad weight would
     silently skew every volume metric downstream.
+
+    >>> payload_units(("fwd", (0, 3), {"k": [1, 2]}, None))
+    7
     """
+    cls = type(message)
+    if cls in _EXACT_SCALARS:
+        return 1
+    if cls in _EXACT_COLLECTIONS:
+        total = 0
+        for item in message:
+            if type(item) in _EXACT_SCALARS:
+                total += 1
+            else:
+                total += payload_units(item)
+        return total or 1
+    if cls is dict:
+        return sum(
+            payload_units(k) + payload_units(v) for k, v in message.items()
+        ) or 1
+    # The general rule, by isinstance: the definition the fast path agrees with.
     if isinstance(message, _SCALARS):
         return 1
     sizer = getattr(message, "__payload_units__", None)

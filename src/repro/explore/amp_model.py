@@ -100,12 +100,15 @@ class AmpExplorationRuntime(AsyncRuntime):
 
     # -- protocol-facing plumbing (parked, not scheduled) ------------------
 
-    def _send(self, src: int, dst: int, payload: object) -> None:
+    def _send(
+        self, src: int, dst: int, payload: object, units: Optional[int] = None
+    ) -> Optional[int]:
         if not 0 <= dst < self.n:
             raise ModelViolation(f"process {src} sent to unknown process {dst}")
         if src in self.crashed:
-            return
-        units = payload_units(payload)
+            return None
+        if units is None:
+            units = payload_units(payload)
         seq = self._send_counter
         self._send_counter += 1
         self.pending[seq] = (src, dst, payload, units)
@@ -113,6 +116,7 @@ class AmpExplorationRuntime(AsyncRuntime):
         self.payload_sent += units
         if self._sink is not None:
             self._sink.amp_send(seq, src, dst, payload, units, self.now)
+        return units
 
     def _set_timer(self, pid: int, delay: float, name: object) -> None:
         if delay < 0:

@@ -128,11 +128,13 @@ class ReplayRuntime(AsyncRuntime):
 
     # -- protocol-facing plumbing (indexed, not scheduled) -----------------
 
-    def _send(self, src: int, dst: int, payload: object) -> None:
+    def _send(
+        self, src: int, dst: int, payload: object, units: Optional[int] = None
+    ) -> Optional[int]:
         if not 0 <= dst < self.n:
             raise ModelViolation(f"process {src} sent to unknown process {dst}")
         if src in self.crashed:
-            return
+            return None
         seq = self._replay_send_seq
         self._replay_send_seq += 1
         recorded = self._recorded_sends.get(seq)
@@ -146,7 +148,8 @@ class ReplayRuntime(AsyncRuntime):
                 f"{recorded.data['src']}→{recorded.data['dst']} "
                 f"{recorded.data['payload']}, replayed {src}→{dst} {payload!r}"
             )
-        units = payload_units(payload)
+        if units is None:
+            units = payload_units(payload)
         self._pending_sends[seq] = (src, dst, payload, units)
         self.messages_sent += 1
         self.payload_sent += units
@@ -154,6 +157,7 @@ class ReplayRuntime(AsyncRuntime):
             self._sink.amp_send(seq, src, dst, payload, units, self.now)
             if seq in self._inline_losses:
                 self._sink.amp_drop(seq, self.now, reason="loss")
+        return units
 
     def _set_timer(self, pid: int, delay: float, name: object) -> None:
         if delay < 0:

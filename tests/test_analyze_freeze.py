@@ -45,6 +45,17 @@ def test_tuple_with_mutable_leaf_is_rebuilt():
     assert isinstance(frozen[1], FrozenList)
 
 
+def test_rebuilt_tuple_subclass_keeps_its_type():
+    class Weighted(tuple):
+        def __payload_units__(self):
+            return 1
+
+    frozen = deep_freeze(Weighted((1, [2])))
+    assert type(frozen) is Weighted
+    assert isinstance(frozen[1], FrozenList)
+    assert payload_units(frozen) == 1
+
+
 def test_frozen_list_blocks_every_mutator():
     frozen = deep_freeze([1, 2, 3])
     assert isinstance(frozen, FrozenList)

@@ -136,6 +136,65 @@ class TestServiceBackends:
             run_service(SMALL, backend="scd", n=2)
 
 
+#: The CI smoke workload of ``benchmarks/bench_kvservice.py`` (1,536 ops).
+SMOKE_SPEC = WorkloadSpec(
+    clients=3,
+    batches_per_client=64,
+    batch_size=8,
+    keys=128,
+    distribution="zipf",
+    zipf_s=1.1,
+    seed=2024,
+)
+
+#: (n, backend) → (stats_digest, messages_sent, payload_sent) at run seed 1.
+#: Recorded before the payload-metering fast path and measure-once
+#: broadcast landed; any change to scheduling or metering shows here.
+PINNED = {
+    (3, "scd"): (
+        "8d400e6a21c24066ce76682f3b8042ab6a3a774cc6668ee096e291b5f8fa3dcf",
+        2304,
+        34848,
+    ),
+    (3, "to"): (
+        "9f90e681d90643f127567652b9b901af3341cca63ea18bb09841c1d4761e4bf7",
+        4458,
+        154029,
+    ),
+    (3, "abd"): (
+        "2f4045be7fef61e2622aca8dd29f4393e36f91192cf783601a27afa618218fe6",
+        15360,
+        96768,
+    ),
+    (5, "scd"): (
+        "263ef1ec7c18e600e38f9f6da678357c19308ca7294f790448edd17eb295d2d0",
+        7680,
+        116160,
+    ),
+    (5, "to"): (
+        "149e0147c489553e25aa7a42dea071f380a4b1d61a5313d8b6b7cf6c767cc828",
+        11595,
+        409455,
+    ),
+    (5, "abd"): (
+        "3a2bca44896b2936dfb7dbd96ea8eb26caf46a937925ddac68023ae5947e45a8",
+        27648,
+        173568,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, backend", sorted(PINNED))
+def test_smoke_digest_pinned(n, backend):
+    report = run_service(SMOKE_SPEC, backend=backend, n=n, seed=1)
+    assert report.completed_ops == SMOKE_SPEC.total_ops
+    assert (
+        report.stats_digest,
+        report.messages_sent,
+        report.payload_sent,
+    ) == PINNED[(n, backend)]
+
+
 class TestServiceUnderFailures:
     TINY = WorkloadSpec(
         clients=3, batches_per_client=6, batch_size=4, keys=16, seed=11
