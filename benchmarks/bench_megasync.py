@@ -25,13 +25,8 @@ from repro.sync.algorithms import (
     make_aggregate_flooders,
 )
 from repro.sync.arraykernel import ColumnarRunner
-from repro.sync.flatgraph import (
-    flat_random_regular,
-    flat_ring,
-    flat_torus,
-)
 from repro.sync.kernel import SynchronousRunner
-from repro.sync.topology import ring
+from repro.sync.topology import grid, random_regular, ring
 
 
 def _inputs(n: int, seed: int = 42):
@@ -97,12 +92,12 @@ def run_object_case(case, n, rounds):
 def smoke_cases():
     """CI-sized: columnar ring n=10k + a tiny cross-backend check."""
     n = 10_000
-    cases = [run_columnar_case("ring-10k", flat_ring(n), rounds=n // 2)]
+    cases = [run_columnar_case("ring-10k", ring(n), rounds=n // 2)]
     assert cases[0]["wall_s"] < 30.0, "smoke run must stay well-bounded"
     # Cross-backend sanity at a size the object kernel handles instantly.
     small = 200
     obj = run_object_case("ring-200-object", small, rounds=small // 2)
-    col = run_columnar_case("ring-200-columnar", flat_ring(small), rounds=small // 2)
+    col = run_columnar_case("ring-200-columnar", ring(small), rounds=small // 2)
     assert obj["rounds"] == col["rounds"]
     assert obj["messages_sent"] == col["messages_sent"]
     cases += [obj, col]
@@ -116,7 +111,7 @@ def full_cases():
     # Speedup head-to-head at n = 10,000 (ring, R = n/2).
     n10 = 10_000
     obj = run_object_case("ring-10k-object", n10, rounds=n10 // 2)
-    col = run_columnar_case("ring-10k-columnar", flat_ring(n10), rounds=n10 // 2)
+    col = run_columnar_case("ring-10k-columnar", ring(n10), rounds=n10 // 2)
     speedup = obj["wall_s"] / col["wall_s"]
     obj["speedup_vs_object"] = 1.0
     col["speedup_vs_object"] = round(speedup, 1)
@@ -127,11 +122,11 @@ def full_cases():
     # Mega-scale: three topology families at n ≈ 100,000.
     n = 100_000
     mega = [
-        ("ring-100k", flat_ring(n), n // 2),
+        ("ring-100k", ring(n), n // 2),
     ]
-    torus = flat_torus(317, 317)
+    torus = grid(317, 317, torus=True)
     mega.append(("torus-317x317", torus, torus.radius_bound()))
-    rr = flat_random_regular(n, 3, seed=7)
+    rr = random_regular(n, 3, seed=7)
     mega.append(("rr-100k-d3", rr, rr.radius_bound()))
     for case, graph, rounds in mega:
         entry = run_columnar_case(case, graph, rounds)

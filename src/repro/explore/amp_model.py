@@ -56,6 +56,10 @@ from .model import ExplorationModel, Interner
 Choice = Tuple
 Prefix = Tuple[Choice, ...]
 
+#: Materialized runtimes kept by the prefix LRU (BFS siblings share a
+#: parent prefix, so a handful of entries catches most re-materializations).
+MATERIALIZATION_CACHE_SIZE = 8
+
 
 class AmpExplorationRuntime(AsyncRuntime):
     """An :class:`AsyncRuntime` whose event loop is externalized.
@@ -233,10 +237,12 @@ class AmpModel(ExplorationModel):
         Offer ``("recover", pid)`` for crashed processes (each pid at
         most once per run).  Recovery wipes volatile state back to the
         constructed snapshot; only ``ctx.stable`` survives.
-    stop_when_settled:
-        Treat configurations where every live process has decided or
-        halted as terminal even if messages remain in flight (their
-        deliveries can no longer change any output).
+
+    Configurations where every live process has decided or halted are
+    terminal even if messages remain in flight: their deliveries can no
+    longer change any output.  Only ``("recover", pid)`` choices stay
+    enabled there.  Materialized runtimes go through an LRU of
+    :data:`MATERIALIZATION_CACHE_SIZE` prefixes.
     """
 
     kernel = "amp"
@@ -246,8 +252,6 @@ class AmpModel(ExplorationModel):
         factory: Callable[[], Sequence[AsyncProcess]],
         seed: int = 0,
         max_crashes: int = 0,
-        stop_when_settled: bool = True,
-        cache_size: int = 8,
         max_losses: int = 0,
         max_duplications: int = 0,
         allow_recovery: bool = False,
@@ -264,11 +268,9 @@ class AmpModel(ExplorationModel):
         self.max_losses = max_losses
         self.max_duplications = max_duplications
         self.allow_recovery = allow_recovery
-        self.stop_when_settled = stop_when_settled
         self.n = len(list(factory()))
         self._intern = Interner()
         self._cache: "OrderedDict[Prefix, AmpExplorationRuntime]" = OrderedDict()
-        self._cache_size = max(1, cache_size)
 
     # -- stateless materialization ----------------------------------------
 
@@ -286,7 +288,7 @@ class AmpModel(ExplorationModel):
         for choice in prefix:
             runtime.apply(choice)
         self._cache[prefix] = runtime
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > MATERIALIZATION_CACHE_SIZE:
             self._cache.popitem(last=False)
         return runtime
 
@@ -297,9 +299,8 @@ class AmpModel(ExplorationModel):
 
     def enabled(self, prefix: Prefix) -> List[Choice]:
         runtime = self._materialize(prefix)
-        settled = self.stop_when_settled and runtime._all_settled()
         choices: List[Choice] = []
-        if not settled:
+        if not runtime._all_settled():
             for seq in sorted(runtime.pending):
                 dst = runtime.pending[seq][1]
                 if dst not in runtime.crashed and not runtime.contexts[dst].halted:

@@ -3,8 +3,7 @@ adversaries (paper §3).
 
 * :mod:`repro.sync.kernel` — lock-step round execution;
 * :mod:`repro.sync.arraykernel` — columnar engine for n = 10⁴–10⁶;
-* :mod:`repro.sync.topology` — communication graphs;
-* :mod:`repro.sync.flatgraph` — O(n) CSR graph constructors;
+* :mod:`repro.sync.topology` — communication graphs (CSR adjacency);
 * :mod:`repro.sync.adversary` — TREE, TOUR, and friends;
 * :mod:`repro.sync.dissemination` — the TREE computability theorem;
 * :mod:`repro.sync.equivalence` — TOUR ≃ wait-free read/write;
@@ -52,13 +51,6 @@ from .arraykernel import (
     ColumnarRunner,
     run_columnar,
 )
-from .flatgraph import (
-    FlatGraph,
-    flat_from_topology,
-    flat_random_regular,
-    flat_ring,
-    flat_torus,
-)
 from .topology import (
     Topology,
     balanced_tree,
@@ -66,6 +58,7 @@ from .topology import (
     grid,
     path,
     random_connected,
+    random_regular,
     random_spanning_tree,
     ring,
     star,
@@ -101,17 +94,13 @@ __all__ = [
     "ColumnarAlgorithm",
     "ColumnarRunner",
     "run_columnar",
-    "FlatGraph",
-    "flat_from_topology",
-    "flat_random_regular",
-    "flat_ring",
-    "flat_torus",
     "Topology",
     "balanced_tree",
     "complete",
     "grid",
     "path",
     "random_connected",
+    "random_regular",
     "random_spanning_tree",
     "ring",
     "star",

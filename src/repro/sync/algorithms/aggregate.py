@@ -25,7 +25,7 @@ Two implementations with identical observable behavior:
   scan over the delivery buffers).
 
 Both decide the current value after ``rounds`` rounds (callers pass
-R ≥ diameter, e.g. :meth:`~repro.sync.flatgraph.FlatGraph.radius_bound`)
+R ≥ diameter, e.g. :meth:`~repro.sync.topology.Topology.radius_bound`)
 and both send pid-major, so adversary RNG draws and message counters
 line up between backends.
 """

@@ -10,9 +10,8 @@ against flat columns:
 
 * per-process status — ``bytearray`` columns (``halted``, ``decided``,
   ``crashed``), outputs in one list;
-* adjacency — CSR ``(indptr, indices)`` arrays built once from a
-  :class:`~repro.sync.topology.Topology` or
-  :class:`~repro.sync.flatgraph.FlatGraph`;
+* adjacency — the CSR ``(indptr, indices)`` arrays of a
+  :class:`~repro.sync.topology.Topology`, read as they are;
 * messages — per-round append-only parallel buffers delivered in one
   batched pass, instead of per-process dict-of-dicts shuffling;
 * crash prefixes and adversary suppression — masks applied over the
@@ -27,8 +26,9 @@ on results and counters (the trace granularity differs by
 construction).  Unchanged :class:`~repro.sync.kernel.SyncAlgorithm`
 code runs on the object kernel only.
 
-Graphs may be a plain :class:`~repro.sync.topology.Topology` or come
-from the O(n) CSR constructors in :mod:`repro.sync.flatgraph`; stdlib
+Mega-scale graphs come from the O(n·d) CSR constructors
+:func:`~repro.sync.topology.ring`, :func:`~repro.sync.topology.grid`
+and :func:`~repro.sync.topology.random_regular`; stdlib
 ``array``/``bytearray`` only, no numpy required.
 """
 
@@ -177,15 +177,7 @@ class ColumnarRunner:
     # -- algorithm-facing API ----------------------------------------------
 
     def is_neighbor(self, u: int, v: int) -> bool:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        indices = self.indices
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if indices[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < self.indptr[u + 1] and indices[lo] == v
+        return self.graph.has_edge(u, v)
 
     def _check_sender(self, src: int) -> None:
         if self._halted[src] or self._crashed_mask[src]:

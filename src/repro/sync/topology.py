@@ -2,21 +2,27 @@
 
 The synchronous system is an undirected connected graph ``G = (V, E)``:
 vertices are reliable sequential processes, edges are reliable
-bidirectional channels.  This module provides an adjacency-list
-:class:`Topology` plus constructors for the standard graph families used
-in the locality literature (ring, path, complete, star, balanced tree,
-grid/torus, Erdős–Rényi) and the graph-theoretic utilities the
-algorithms need (diameter, BFS distances, spanning trees, connectivity).
+bidirectional channels.  This module provides one immutable graph type,
+:class:`Topology`, stored as CSR (compressed sparse row) adjacency in
+two ``array('l')`` columns, plus constructors for the standard graph
+families used in the locality literature (ring, path, complete, star,
+balanced tree, grid/torus, Erdős–Rényi, random regular) and the
+graph-theoretic utilities the algorithms need (diameter, BFS distances,
+spanning trees, connectivity).
 
-Pure-Python implementations are used throughout so the package has no
-hard dependency on networkx; graphs here are at laptop scale.
+The same type serves laptop-scale graphs and the mega-scale columnar
+engine (:mod:`repro.sync.arraykernel`): :func:`ring`, :func:`grid` and
+:func:`random_regular` build the CSR arrays directly in O(n·d) without
+materializing a Python edge set.  Pure Python and stdlib ``array``
+only; no networkx.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 
@@ -27,89 +33,109 @@ def _canonical(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _pack_rows(rows: Sequence[Iterable[int]]) -> Tuple[array, array]:
+    """Pack per-vertex neighbor collections into sorted CSR arrays."""
+    indptr = array("l", [0])
+    indices = array("l")
+    for row in rows:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
 class Topology:
-    """An undirected graph on vertices ``0..n-1`` with adjacency queries."""
+    """An immutable undirected graph on vertices ``0..n-1``.
+
+    Adjacency is CSR: vertex ``u``'s neighbors are
+    ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending.
+    """
+
+    __slots__ = ("n", "name", "_csr", "_distance_cache", "_diameter", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge], name: str = "graph") -> None:
         if n < 1:
             raise ConfigurationError(f"a topology needs n >= 1 vertices, got {n}")
+        rows: List[set] = [set() for _ in range(n)]
+        for u, v in edges:
+            if u == v:
+                raise ConfigurationError(f"self-loop at vertex {u} not allowed")
+            for w in (u, v):
+                if not 0 <= w < n:
+                    raise ConfigurationError(
+                        f"vertex {w} outside 0..{n - 1} in edge ({u},{v})"
+                    )
+            rows[u].add(v)
+            rows[v].add(u)
+        self._adopt(n, *_pack_rows(rows), name)
+
+    @classmethod
+    def _from_csr(cls, n: int, indptr: array, indices: array, name: str) -> "Topology":
+        """Wrap ready CSR arrays (sorted rows, symmetric, no self-loops)."""
+        if n < 1:
+            raise ConfigurationError(f"a topology needs n >= 1 vertices, got {n}")
+        if len(indptr) != n + 1 or indptr[0] != 0 or indptr[n] != len(indices):
+            raise ConfigurationError("malformed CSR: indptr does not index indices")
+        topology = cls.__new__(cls)
+        topology._adopt(n, indptr, indices, name)
+        return topology
+
+    def _adopt(self, n: int, indptr: array, indices: array, name: str) -> None:
         self.n = n
         self.name = name
-        self._adj: List[Set[int]] = [set() for _ in range(n)]
-        self._edges: Set[Edge] = set()
-        # BFS distance maps and the diameter are recomputed by every
-        # flooding benchmark per seed; cache them, invalidated on any
-        # mutation (see _invalidate_caches).
+        self._csr = (indptr, indices)
+        # Flooding benchmarks ask for BFS distances and the diameter once
+        # per seed over the same graph.  The graph is immutable, so these
+        # memos stay valid for its lifetime.
         self._distance_cache: Dict[int, Tuple[Optional[int], ...]] = {}
-        self._diameter_cache: Optional[int] = None
-        self._csr_cache: Optional[Tuple[array, array]] = None
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    # -- construction ------------------------------------------------------
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Add the undirected edge {u, v}."""
-        if u == v:
-            raise ConfigurationError(f"self-loop at vertex {u} not allowed")
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise ConfigurationError(
-                    f"vertex {w} outside 0..{self.n - 1} in edge ({u},{v})"
-                )
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._edges.add(_canonical(u, v))
-        self._invalidate_caches()
-
-    def _invalidate_caches(self) -> None:
-        """Drop memoized distances/diameter/CSR after any graph mutation."""
-        self._distance_cache.clear()
-        self._diameter_cache = None
-        self._csr_cache = None
+        self._diameter: Optional[int] = None
+        self._edges: Optional[FrozenSet[Edge]] = None
 
     # -- queries -------------------------------------------------------------
 
     def neighbors(self, u: int) -> FrozenSet[int]:
         """The neighbor set of vertex ``u``."""
-        return frozenset(self._adj[u])
+        indptr, indices = self._csr
+        return frozenset(indices[indptr[u]:indptr[u + 1]])
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        indptr = self._csr[0]
+        return indptr[u + 1] - indptr[u]
 
     def max_degree(self) -> int:
         """Δ(G), the maximum degree."""
-        return max((len(a) for a in self._adj), default=0)
+        indptr = self._csr[0]
+        return max(indptr[u + 1] - indptr[u] for u in range(self.n))
 
     @property
     def edges(self) -> FrozenSet[Edge]:
         """All edges as canonical (min, max) pairs."""
-        return frozenset(self._edges)
+        if self._edges is None:
+            indptr, indices = self._csr
+            self._edges = frozenset(
+                (u, v)
+                for u in range(self.n)
+                for v in indices[indptr[u]:indptr[u + 1]]
+                if u < v
+            )
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _canonical(u, v) in self._edges
+        if not 0 <= u < self.n:
+            return False
+        indptr, indices = self._csr
+        hi = indptr[u + 1]
+        j = bisect_left(indices, v, indptr[u], hi)
+        return j < hi and indices[j] == v
 
     def csr(self) -> Tuple[array, array]:
         """The adjacency in CSR form: ``(indptr, indices)`` arrays.
 
         Vertex ``u``'s neighbors are ``indices[indptr[u]:indptr[u+1]]``,
         sorted ascending.  This is the layout the columnar engine
-        (:mod:`repro.sync.arraykernel`) executes against.  Memoized
-        until the graph mutates (same policy as the distance/diameter
-        caches); callers must treat the arrays as read-only.
+        (:mod:`repro.sync.arraykernel`) executes against.  These are the
+        graph's own arrays; callers must treat them as read-only.
         """
-        if self._csr_cache is not None:
-            return self._csr_cache
-        indptr = array("l", [0] * (self.n + 1))
-        indices = array("l")
-        offset = 0
-        for u in range(self.n):
-            row = sorted(self._adj[u])
-            indices.extend(row)
-            offset += len(row)
-            indptr[u + 1] = offset
-        self._csr_cache = (indptr, indices)
-        return self._csr_cache
+        return self._csr
 
     def vertices(self) -> range:
         return range(self.n)
@@ -122,8 +148,8 @@ class Topology:
     def bfs_distances(self, source: int) -> List[Optional[int]]:
         """Hop distances from ``source``; ``None`` for unreachable vertices.
 
-        Memoized per source until the graph mutates; a fresh list is
-        returned on every call so callers can't corrupt the cache.
+        Memoized per source; a fresh list is returned on every call so
+        callers can't corrupt the cache.
         """
         cached = self._distance_cache.get(source)
         if cached is not None:
@@ -132,16 +158,24 @@ class Topology:
         self._distance_cache[source] = tuple(dist)
         return dist
 
-    def _bfs(self, source: int) -> List[Optional[int]]:
+    def _bfs(
+        self, source: int, rows: Optional[List[Tuple[int, ...]]] = None
+    ) -> List[Optional[int]]:
+        """Level-synchronous BFS over CSR slices, or over ``rows`` when
+        given (per-vertex neighbor tuples, see :meth:`diameter`)."""
+        indptr, indices = self._csr
         dist: List[Optional[int]] = [None] * self.n
         dist[source] = 0
         frontier = [source]
+        level = 0
         while frontier:
+            level += 1
             nxt: List[int] = []
             for u in frontier:
-                for v in self._adj[u]:
+                row = rows[u] if rows is not None else indices[indptr[u]:indptr[u + 1]]
+                for v in row:
                     if dist[v] is None:
-                        dist[v] = dist[u] + 1  # type: ignore[operator]
+                        dist[v] = level
                         nxt.append(v)
             frontier = nxt
         return dist
@@ -152,39 +186,55 @@ class Topology:
             return True
         return all(d is not None for d in self.bfs_distances(0))
 
+    def radius_bound(self) -> int:
+        """A cheap upper bound on the diameter: ``2 · ecc(0)``.
+
+        One BFS instead of n — the mega-scale substitute for
+        :meth:`diameter`, used to pick a safe round budget for flooding
+        (any R ≥ diameter works).  Not memoized, so a mega-scale graph
+        keeps no O(n) distance map.
+        """
+        dist = self._bfs(0)
+        if None in dist:
+            raise ConfigurationError("radius bound undefined: graph is disconnected")
+        return 2 * max(dist)  # type: ignore[type-var]
+
     def diameter(self) -> int:
         """The diameter D of the graph (max over all BFS eccentricities).
 
-        Memoized until the graph mutates (flooding benchmarks ask for D
-        once per run over an unchanged graph).
+        Memoized (flooding benchmarks ask for D once per run).  The n
+        BFS runs read per-vertex neighbor tuples, which iterate faster
+        than CSR slices; the tuples live only for this call.
         """
-        if self._diameter_cache is not None:
-            return self._diameter_cache
+        if self._diameter is not None:
+            return self._diameter
         if not self.is_connected():
             raise ConfigurationError("diameter undefined: graph is disconnected")
-        best = 0
-        for source in range(self.n):
-            # Raw BFS on purpose: memoizing all n sources here would cost
-            # O(n²) memory on big graphs for a single scalar answer.
-            distances = self._bfs(source)
-            best = max(best, max(d for d in distances if d is not None))
-        self._diameter_cache = best
-        return best
+        indptr, indices = self._csr
+        rows = [tuple(indices[indptr[u]:indptr[u + 1]]) for u in range(self.n)]
+        # Raw BFS on purpose: memoizing all n sources here would cost
+        # O(n²) memory on big graphs for a single scalar answer.
+        self._diameter = max(
+            max(self._bfs(source, rows))  # type: ignore[type-var]
+            for source in range(self.n)
+        )
+        return self._diameter
 
     def is_complete(self) -> bool:
-        return len(self._edges) == self.n * (self.n - 1) // 2
+        return len(self._csr[1]) == self.n * (self.n - 1)
 
     def spanning_tree_edges(self, root: int = 0) -> FrozenSet[Edge]:
         """A BFS spanning tree rooted at ``root`` (graph must be connected)."""
         if not self.is_connected():
             raise ConfigurationError("spanning tree needs a connected graph")
+        indptr, indices = self._csr
         seen = {root}
-        tree: Set[Edge] = set()
+        tree = set()
         frontier = [root]
         while frontier:
             nxt: List[int] = []
             for u in frontier:
-                for v in sorted(self._adj[u]):
+                for v in indices[indptr[u]:indptr[u + 1]]:
                     if v not in seen:
                         seen.add(v)
                         tree.add(_canonical(u, v))
@@ -193,7 +243,7 @@ class Topology:
         return frozenset(tree)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Topology({self.name!r}, n={self.n}, m={len(self._edges)})"
+        return f"Topology({self.name!r}, n={self.n}, m={len(self._csr[1]) // 2})"
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +252,24 @@ class Topology:
 
 
 def ring(n: int) -> Topology:
-    """The n-cycle — the graph of the Cole–Vishkin coloring result (§3.2)."""
+    """The n-cycle — the graph of the Cole–Vishkin coloring result (§3.2).
+
+    Built directly in CSR in O(n).
+    """
     if n < 3:
         raise ConfigurationError(f"a ring needs n >= 3 vertices, got {n}")
-    return Topology(n, [(i, (i + 1) % n) for i in range(n)], name=f"ring-{n}")
+    indptr = array("l", range(0, 2 * n + 1, 2))
+    indices = array("l")
+    for i in range(n):
+        left = (i - 1) % n
+        right = (i + 1) % n
+        if left < right:
+            indices.append(left)
+            indices.append(right)
+        else:
+            indices.append(right)
+            indices.append(left)
+    return Topology._from_csr(n, indptr, indices, f"ring-{n}")
 
 
 def path(n: int) -> Topology:
@@ -247,9 +311,34 @@ def balanced_tree(branching: int, height: int) -> Topology:
 
 
 def grid(rows: int, cols: int, torus: bool = False) -> Topology:
-    """A rows×cols grid, optionally with wraparound (torus)."""
+    """A rows×cols grid, optionally with wraparound (torus).
+
+    A dimension of size ≤ 2 never wraps (its wrap edge would repeat a
+    grid edge or be a self-loop).  The 4-regular torus (both dimensions
+    ≥ 3) is built directly in CSR in O(rows·cols).
+    """
     if rows < 1 or cols < 1:
         raise ConfigurationError("grid needs rows >= 1 and cols >= 1")
+    kind = "torus" if torus else "grid"
+    name = f"{kind}-{rows}x{cols}"
+    if torus and rows > 2 and cols > 2:
+        n = rows * cols
+        indptr = array("l", range(0, 4 * n + 1, 4))
+        indices = array("l")
+        for r in range(rows):
+            up = ((r - 1) % rows) * cols
+            down = ((r + 1) % rows) * cols
+            base = r * cols
+            for c in range(cols):
+                nbrs = [
+                    up + c,
+                    down + c,
+                    base + (c - 1) % cols,
+                    base + (c + 1) % cols,
+                ]
+                nbrs.sort()
+                indices.extend(nbrs)
+        return Topology._from_csr(n, indptr, indices, name)
 
     def vid(r: int, c: int) -> int:
         return r * cols + c
@@ -265,8 +354,58 @@ def grid(rows: int, cols: int, torus: bool = False) -> Topology:
                 edges.append((vid(r, c), vid(r + 1, c)))
             elif torus and rows > 2:
                 edges.append((vid(r, c), vid(0, c)))
-    kind = "torus" if torus else "grid"
-    return Topology(rows * cols, edges, name=f"{kind}-{rows}x{cols}")
+    return Topology(rows * cols, edges, name=name)
+
+
+def random_regular(
+    n: int, d: int, seed: int = 0, max_attempts: int = 200
+) -> Topology:
+    """A connected random d-regular graph, deterministic in ``(n, d, seed)``.
+
+    Configuration model with whole-pairing rejection: shuffle the
+    ``n·d`` stub multiset, pair consecutive stubs, reject the attempt on
+    any self-loop or repeated edge (and on disconnection), retry with
+    the next derived RNG state.  For d ≥ 3 a constant fraction of
+    pairings is simple and simple d-regular graphs are connected w.h.p.,
+    so the expected attempt count is O(1); the result is a pure function
+    of the arguments.  Built directly in CSR in O(n·d).
+    """
+    if d < 2:
+        raise ConfigurationError(f"random regular graph needs degree >= 2, got {d}")
+    if d >= n:
+        raise ConfigurationError(f"degree {d} needs n > d, got n={n}")
+    if (n * d) % 2 != 0:
+        raise ConfigurationError(f"n*d must be even, got n={n}, d={d}")
+    rng = random.Random(seed)
+    stubs = list(range(n)) * d
+    for _attempt in range(max_attempts):
+        rng.shuffle(stubs)
+        adjacency: List[List[int]] = [[] for _ in range(n)]
+        seen_pairs = set()
+        simple = True
+        for k in range(0, len(stubs), 2):
+            u, v = stubs[k], stubs[k + 1]
+            if u == v:
+                simple = False
+                break
+            key = _canonical(u, v)
+            if key in seen_pairs:
+                simple = False
+                break
+            seen_pairs.add(key)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        if not simple:
+            continue
+        graph = Topology._from_csr(
+            n, *_pack_rows(adjacency), f"rr-{n}-d{d}-s{seed}"
+        )
+        if None not in graph._bfs(0):  # connected; no distance map kept
+            return graph
+    raise ConfigurationError(
+        f"no connected simple {d}-regular graph found in {max_attempts} "
+        f"attempts for n={n}, seed={seed}"
+    )
 
 
 def random_connected(n: int, p: float, rng: Optional[random.Random] = None) -> Topology:
@@ -280,18 +419,20 @@ def random_connected(n: int, p: float, rng: Optional[random.Random] = None) -> T
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"edge probability must be in [0,1], got {p}")
     rng = rng or random.Random(0)
-    edges: Set[Edge] = set()
+    name = f"gnp-{n}-{p}"
+    edges = set()
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.add((i, j))
-    topo = Topology(n, edges, name=f"gnp-{n}-{p}")
+    topo = Topology(n, edges, name=name)
     # Patch connectivity: link each unreachable component to vertex 0's.
     while not topo.is_connected():
         dist = topo.bfs_distances(0)
         unreachable = [v for v in range(n) if dist[v] is None]
         reachable = [v for v in range(n) if dist[v] is not None]
-        topo.add_edge(rng.choice(reachable), rng.choice(unreachable))
+        edges.add((rng.choice(reachable), rng.choice(unreachable)))
+        topo = Topology(n, edges, name=name)
     return topo
 
 
@@ -301,14 +442,18 @@ def random_spanning_tree(
     """A uniform-ish random spanning tree via randomized BFS/DFS hybrid.
 
     Used by the TREE message adversary to change the tree every round.
+    Neighbors are shuffled from their sorted CSR order, so equal graphs
+    give equal trees for equal RNG states, however they were built.
     """
+    indptr, indices = topology.csr()
     root = rng.randrange(topology.n)
     seen = {root}
-    tree: Set[Edge] = set()
+    tree = set()
     frontier = [root]
     while frontier:
         u = frontier.pop(rng.randrange(len(frontier)))
-        candidates = [v for v in topology.neighbors(u) if v not in seen]
+        row = indices[indptr[u]:indptr[u + 1]]
+        candidates = [v for v in row if v not in seen]
         rng.shuffle(candidates)
         for v in candidates:
             if v not in seen:
@@ -316,7 +461,7 @@ def random_spanning_tree(
                 tree.add(_canonical(u, v))
                 frontier.append(v)
         # u may still have unseen neighbors later; re-add if any remain.
-        if any(v not in seen for v in topology.neighbors(u)):
+        if any(v not in seen for v in row):
             frontier.append(u)
     if len(seen) != topology.n:
         raise ConfigurationError("random_spanning_tree requires a connected graph")

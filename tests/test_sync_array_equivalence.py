@@ -26,15 +26,14 @@ from repro.sync.algorithms import (
     make_floodset,
 )
 from repro.sync.arraykernel import run_columnar
-from repro.sync.flatgraph import flat_random_regular
 from repro.sync.kernel import CrashEvent
-from repro.sync.topology import grid, ring
+from repro.sync.topology import grid, random_regular, ring
 from repro.trace import MemorySink, trace_hash
 
 TOPOLOGIES = {
     "ring": lambda: ring(9),
     "torus": lambda: grid(3, 4, torus=True),
-    "random-regular": lambda: flat_random_regular(10, 3, seed=2).to_topology(),
+    "random-regular": lambda: random_regular(10, 3, seed=2),
 }
 
 FAULTS = {
@@ -123,7 +122,7 @@ class TestPinnedHashes:
 
     def test_floodset_adversary_rr(self):
         h = self._hash(
-            topology=flat_random_regular(10, 3, seed=2).to_topology(),
+            topology=random_regular(10, 3, seed=2),
             algorithms=make_floodset(10, t=2),
             inputs=[i % 2 for i in range(10)],
             adversary=BoundedDropAdversary(max_drops=2, seed=3),

@@ -13,8 +13,8 @@ from repro.sync.arraykernel import (
     run_columnar,
 )
 from repro.sync.algorithms import ColumnarAggregateFlooding
-from repro.sync.flatgraph import flat_ring, flat_torus
 from repro.sync.kernel import CrashEvent
+from repro.sync.topology import grid, ring
 
 
 class Chatterbox(ColumnarAlgorithm):
@@ -43,37 +43,37 @@ class Scripted(ColumnarAlgorithm):
 
 class TestColumnarValidation:
     def test_send_to_non_neighbor_rejected(self):
-        g = flat_ring(6)
+        g = ring(6)
         alg = Scripted([("send", (0, 3, "x"))])
         with pytest.raises(ModelViolation, match="non-neighbor"):
             ColumnarRunner(g, alg, [None] * 6).run()
 
     def test_send_after_halt_rejected(self):
-        g = flat_ring(6)
+        g = ring(6)
         alg = Scripted([("halt", (0,)), ("send", (0, 1, "x"))])
         with pytest.raises(ModelViolation, match="halting"):
             ColumnarRunner(g, alg, [None] * 6).run()
 
     def test_validate_off_skips_neighbor_check(self):
-        g = flat_ring(6)
+        g = ring(6)
         alg = Scripted([("send", (0, 3, "x"))])
         result = ColumnarRunner(g, alg, [None] * 6, validate_sends=False).run()
         assert result.messages_sent == 1
 
     def test_double_decide_rejected(self):
-        g = flat_ring(6)
+        g = ring(6)
         alg = Scripted([("decide", (2, "a")), ("decide", (2, "b"))])
         with pytest.raises(ModelViolation, match="decided twice"):
             ColumnarRunner(g, alg, [None] * 6).run()
 
     def test_input_length_mismatch(self):
         with pytest.raises(ConfigurationError, match="inputs"):
-            ColumnarRunner(flat_ring(6), Chatterbox(), [None] * 5)
+            ColumnarRunner(ring(6), Chatterbox(), [None] * 5)
 
     def test_duplicate_crash_pid(self):
         with pytest.raises(ConfigurationError, match="crashes twice"):
             ColumnarRunner(
-                flat_ring(6),
+                ring(6),
                 Chatterbox(),
                 [None] * 6,
                 crash_schedule=(
@@ -85,7 +85,7 @@ class TestColumnarValidation:
     def test_crash_round_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="start at 1"):
             ColumnarRunner(
-                flat_ring(6),
+                ring(6),
                 Chatterbox(),
                 [None] * 6,
                 crash_schedule=(CrashEvent(pid=1, round=0),),
@@ -94,13 +94,13 @@ class TestColumnarValidation:
     def test_max_rounds_enforced(self):
         with pytest.raises(SimulationLimitExceeded):
             ColumnarRunner(
-                flat_ring(6), Chatterbox(), [None] * 6, max_rounds=5
+                ring(6), Chatterbox(), [None] * 6, max_rounds=5
             ).run()
 
 
 class TestColumnarSemantics:
     def test_halt_is_idempotent_and_decide_all_skips_halted(self):
-        g = flat_ring(5)
+        g = ring(5)
 
         class H(ColumnarAlgorithm):
             def setup(self, eng):
@@ -117,7 +117,7 @@ class TestColumnarSemantics:
         assert result.halted == [True] * 5
 
     def test_crashed_decide_and_halt_are_noops(self):
-        g = flat_ring(5)
+        g = ring(5)
 
         class C(ColumnarAlgorithm):
             def on_round(self, eng, src, dst, payloads):
@@ -135,7 +135,7 @@ class TestColumnarSemantics:
         assert result.outputs[0] == "0"
 
     def test_aggregate_min_on_ring(self):
-        g = flat_ring(12)
+        g = ring(12)
         inputs = [(7 * i + 3) % 29 for i in range(12)]
         result = run_columnar(
             g,
@@ -147,7 +147,7 @@ class TestColumnarSemantics:
         assert result.rounds == 6
 
     def test_aggregate_max_on_torus(self):
-        g = flat_torus(4, 5)
+        g = grid(4, 5, torus=True)
         inputs = list(range(g.n))
         result = run_columnar(
             g,
@@ -161,7 +161,7 @@ class TestColumnarSemantics:
         """Re-broadcast-on-change sends far fewer messages than every
         process re-flooding every round."""
         n, rounds = 64, 32
-        g = flat_ring(n)
+        g = ring(n)
         inputs = [5] * n
         inputs[0] = 0
         result = run_columnar(

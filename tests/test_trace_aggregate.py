@@ -11,7 +11,6 @@ from repro.sync.algorithms import (
     make_flooders,
 )
 from repro.sync.arraykernel import run_columnar
-from repro.sync.flatgraph import flat_ring
 from repro.sync.kernel import CrashEvent
 from repro.trace import (
     CRASH,
@@ -70,7 +69,7 @@ class TestCounterParity:
         agg = AggregateSink()
         n = 16
         result = run_columnar(
-            flat_ring(n),
+            ring(n),
             ColumnarAggregateFlooding(rounds=8, op="min"),
             list(range(n)),
             sink=agg,
