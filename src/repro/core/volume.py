@@ -20,8 +20,9 @@ Metering runs on every send of every kernel, so :func:`payload_units`
 dispatches on the *concrete* type first, in this order:
 
 1. the exact scalar types (``int``, ``float``, ``complex``, ``str``,
-   ``bytes``, ``bool``, ``NoneType``), first so that a sizer metering
-   its scalar fields one call at a time (``DeltaMessage``) stays cheap;
+   ``bytes``, ``bool``, ``NoneType``) — :data:`EXACT_SCALAR_TYPES`,
+   which a sizer may also test itself to count its scalar fields inline
+   (``DeltaMessage`` does);
 2. ``tuple``, ``list``, ``set``, ``frozenset`` — the shape of nearly
    every protocol message; their scalar leaves are counted inline,
    without a call per leaf;
@@ -45,7 +46,10 @@ from typing import Mapping, Set, Tuple
 from .exceptions import ModelViolation
 
 _SCALARS = (int, float, complex, str, bytes, bool, type(None))
-_EXACT_SCALARS = frozenset(_SCALARS)
+#: The exact scalar types: a value whose ``type()`` is in this set weighs
+#: 1 unit.  Public so that a sizer can count such values inline and call
+#: :func:`payload_units` only for the rest.
+EXACT_SCALAR_TYPES = frozenset(_SCALARS)
 _EXACT_COLLECTIONS = frozenset((tuple, list, set, frozenset))
 
 
@@ -64,12 +68,12 @@ def payload_units(message: object) -> int:
     7
     """
     cls = type(message)
-    if cls in _EXACT_SCALARS:
+    if cls in EXACT_SCALAR_TYPES:
         return 1
     if cls in _EXACT_COLLECTIONS:
         total = 0
         for item in message:
-            if type(item) in _EXACT_SCALARS:
+            if type(item) in EXACT_SCALAR_TYPES:
                 total += 1
             else:
                 total += payload_units(item)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -441,7 +442,21 @@ def explore(
     spill_dir: Optional[str] = None,
     spill_entries: int = 200_000,
 ) -> ExploreResult:
-    """One-call front door: build an :class:`Explorer` and run it."""
+    """One-call front door: build an :class:`Explorer` and run it.
+
+    Sleep sets over an AMP model warn (one :class:`UserWarning` per call):
+    AMP choice labels are not prefix-stable, so the reduced state set
+    depends on traversal order; ``reduce=False`` gives exhaustive claims.
+    """
+    if reduce and model.kernel == "amp":
+        warnings.warn(
+            "explore(reduce=True) on an AMP model: AMP choice labels are not "
+            "prefix-stable, so sleep sets may prune reachable states "
+            "depending on traversal order; pass reduce=False for an "
+            "exhaustive search (docs/EXPLORER.md, 'The stability caveat')",
+            UserWarning,
+            stacklevel=2,
+        )
     return Explorer(
         model, properties=properties, strategy=strategy,
         reduce=reduce, stop_on_first=stop_on_first,

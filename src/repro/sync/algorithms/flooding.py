@@ -22,6 +22,15 @@ Two wire formats implement the same knowledge dynamics:
   crosses an edge at most twice (once to deliver, once more while the
   confirming digest is in flight) instead of every round.
 
+Per-round delta emission costs O(pairs sent + unheard stragglers), not
+O(|known| × degree).  ``known`` is an insertion-ordered dict, and each
+neighbor keeps a *low-water index* into it: every pair before the index
+is already covered by that neighbor's heard digest.  A popcount of
+``digest & ~heard`` says how many pairs are missing; zero sends an empty
+delta without a scan, otherwise the scan starts at the low-water index
+and stops after the last missing pair.  Pairs still go out in ``known``
+order, so messages (and trace hashes) are exactly those of a full scan.
+
 The equivalence argument, which the tests replay against adversarial
 schedules: a full view delivered over an edge at round ``r`` teaches the
 receiver ``known_sender − known_receiver``; the delta message teaches
@@ -41,10 +50,11 @@ without knowing D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ...core.exceptions import ConfigurationError
-from ...core.volume import payload_units
+from ...core.volume import EXACT_SCALAR_TYPES, payload_units
 from ..kernel import Context, Outbox, SyncAlgorithm
 
 #: A function of the full input vector, evaluated once it is known.
@@ -52,6 +62,13 @@ VectorFunction = Callable[[Tuple[object, ...]], object]
 
 #: Wire formats understood by :class:`FloodingAlgorithm`.
 MODES = ("delta", "full")
+
+try:
+    _popcount = int.bit_count  # Python >= 3.10
+except AttributeError:  # pragma: no cover - Python 3.9
+
+    def _popcount(bits: int) -> int:
+        return bin(bits).count("1")
 
 
 def identity_vector(vector: Tuple[object, ...]) -> Tuple[object, ...]:
@@ -73,8 +90,13 @@ class DeltaMessage:
     pairs: Tuple[Tuple[int, object], ...]
 
     def __payload_units__(self) -> int:
-        # 1 for the digest word + (pid + value) per carried pair.
-        return 1 + sum(1 + payload_units(value) for _pid, value in self.pairs)
+        # 1 for the digest word + (pid + value) per carried pair; an exact
+        # scalar value weighs 1, anything else is metered by the walk.
+        units = 1 + 2 * len(self.pairs)
+        for _pid, value in self.pairs:
+            if type(value) not in EXACT_SCALAR_TYPES:
+                units += payload_units(value) - 1
+        return units
 
 
 class FloodingAlgorithm(SyncAlgorithm):
@@ -109,8 +131,11 @@ class FloodingAlgorithm(SyncAlgorithm):
         self.known: Dict[int, object] = {}
         #: own digest: bitmask of pids in ``known``
         self._digest = 0
-        #: per-neighbor: union of digests heard from that neighbor
+        #: per-neighbor, in sorted order: union of digests heard from it
         self._peer_digest: Dict[int, int] = {}
+        #: per-neighbor low-water index into ``known``: every pair before
+        #: it is covered by that neighbor's heard digest
+        self._low_water: Dict[int, int] = {}
         #: cached stable snapshot for :meth:`local_state`
         self._state_snapshot: Optional[FrozenSet[int]] = None
 
@@ -118,6 +143,7 @@ class FloodingAlgorithm(SyncAlgorithm):
         self.known = {ctx.pid: ctx.input}
         self._digest = 1 << ctx.pid
         self._peer_digest = {neighbor: 0 for neighbor in sorted(ctx.neighbors)}
+        self._low_water = dict.fromkeys(self._peer_digest, 0)
         self._state_snapshot = None
         if self.rounds == 0:
             self._finish(ctx)
@@ -125,20 +151,24 @@ class FloodingAlgorithm(SyncAlgorithm):
         return self._emit(ctx)
 
     def on_round(self, ctx: Context, received: Mapping[int, object]) -> Outbox:
-        before = len(self.known)
+        known = self.known
+        before = len(known)
         if self.mode == "full":
             for pairs in received.values():
-                self.known.update(pairs)
+                known.update(pairs)
         else:
+            digest = self._digest
+            peer_digest = self._peer_digest
             for src, message in received.items():
-                self.known.update(message.pairs)
-                self._peer_digest[src] |= message.digest
-        if len(self.known) != before:
+                peer_digest[src] |= message.digest
+                for pid, value in message.pairs:
+                    if pid not in known:
+                        known[pid] = value
+                        digest |= 1 << pid
+            self._digest = digest
+        learned_nothing = len(known) == before
+        if not learned_nothing:
             self._state_snapshot = None
-            if self.mode == "delta":
-                for pid in self.known:
-                    self._digest |= 1 << pid
-        learned_nothing = len(self.known) == before
 
         if self.rounds is not None:
             if ctx.round >= self.rounds:
@@ -156,17 +186,37 @@ class FloodingAlgorithm(SyncAlgorithm):
         send-prefixes aligned across modes)."""
         if self.mode == "full":
             return ctx.broadcast(dict(self.known))
+        known = self.known
+        digest = self._digest
+        low_water = self._low_water
         outbox: Outbox = {}
-        # Sorted: neighbor sets iterate in hash order, and outbox insertion
+        # ``_peer_digest`` is in sorted neighbor order, and outbox insertion
         # order is the kernel's send order — which trace hashes observe.
-        for neighbor in sorted(ctx.neighbors):
-            heard = self._peer_digest[neighbor]
-            pairs = tuple(
-                (pid, value)
-                for pid, value in self.known.items()
-                if not (heard >> pid) & 1
-            )
-            outbox[neighbor] = DeltaMessage(digest=self._digest, pairs=pairs)
+        for neighbor, heard in self._peer_digest.items():
+            remaining = _popcount(digest & ~heard)
+            if not remaining:
+                low_water[neighbor] = len(known)
+                outbox[neighbor] = DeltaMessage(digest, ())
+                continue
+            # Advance the low-water index to the first missing pair (one
+            # exists: ``remaining`` > 0), then collect up to the last one.
+            low = low_water[neighbor]
+            items = islice(known.items(), low, None)
+            for item in items:
+                if not (heard >> item[0]) & 1:
+                    break
+                low += 1
+            low_water[neighbor] = low
+            pairs: List[Tuple[int, object]] = [item]
+            remaining -= 1
+            if remaining:
+                for item in items:
+                    if not (heard >> item[0]) & 1:
+                        pairs.append(item)
+                        remaining -= 1
+                        if not remaining:
+                            break
+            outbox[neighbor] = DeltaMessage(digest, tuple(pairs))
         return outbox
 
     def _finish(self, ctx: Context) -> None:

@@ -1,11 +1,17 @@
 """AMP exploration: delivery orders, crashes, losses, duplications,
 recovery, and byte-identical replay."""
 
+import warnings
+
 import pytest
 
 from repro.core import ConfigurationError
 from repro.explore import (
+    AdoptCommitMachine,
     AmpModel,
+    ExplorationModel,
+    ShmMachineModel,
+    SyncAdversaryModel,
     agreement,
     explore,
     make_flood_min,
@@ -14,6 +20,8 @@ from repro.explore import (
     termination,
     validity,
 )
+from repro.sync.algorithms.consensus import make_floodset
+from repro.sync.topology import complete
 from repro.trace.events import DECIDE, DELIVER, SEND
 
 
@@ -291,3 +299,56 @@ class TestRecoveryExploration:
             properties=[quorum_commit_agreement()],
         )
         assert result.ok and result.complete
+
+
+class _Corner(ExplorationModel):
+    """Two commuting steps from (0, 0) to (1, 1): a grid model."""
+
+    def initial(self):
+        return (0, 0)
+
+    def enabled(self, config):
+        return [axis for axis, done in zip("xy", config) if not done]
+
+    def step(self, config, choice):
+        x, y = config
+        return (1, y) if choice == "x" else (x, 1)
+
+    def independent(self, config, a, b):
+        return a != b
+
+
+class TestPorStabilityWarning:
+    """Sleep sets over AMP choice labels can prune reachable states
+    (docs/EXPLORER.md, "The stability caveat"), so ``reduce=True`` on an
+    AMP model warns; every other model and every ``reduce=False`` run is
+    silent."""
+
+    def test_reduce_on_amp_warns_once_per_call(self):
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="not prefix-stable") as caught:
+                result = explore(AmpModel(make_flood_min([1, 0])))
+            assert result.complete
+            assert len(caught) == 1
+            assert "reduce=False" in str(caught[0].message)
+
+    @pytest.mark.parametrize(
+        "model, reduce",
+        [
+            (lambda: AmpModel(make_flood_min([1, 0])), False),
+            (lambda: ShmMachineModel(AdoptCommitMachine(2), [0, 1]), True),
+            (lambda: ShmMachineModel(AdoptCommitMachine(2), [0, 1]), False),
+            (
+                lambda: SyncAdversaryModel(
+                    complete(3), lambda: make_floodset(3, 0), [2, 0, 1]
+                ),
+                True,
+            ),
+            (_Corner, True),
+        ],
+        ids=["amp-noreduce", "shm", "shm-noreduce", "sync", "grid"],
+    )
+    def test_other_runs_are_silent(self, model, reduce):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert explore(model(), reduce=reduce).complete
