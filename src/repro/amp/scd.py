@@ -142,20 +142,65 @@ class ScdBroadcast:
     def quorum(self) -> int:
         return self.n // 2 + 1
 
-    def __repr__(self) -> str:
-        # Deterministic, address-free, and covering the full protocol
-        # state: AmpModel fingerprints hash ``repr(vars(process))``, so
-        # hosts embedding an ScdBroadcast stay explorable with dedup.
+    # -- explicit state (exhaustive exploration) ---------------------------
+
+    def export_state(self) -> Tuple:
+        """The protocol state as a canonical, hashable tuple.
+
+        Maps are exported sorted by their unique keys (so payloads are
+        never compared); no handler depends on map order.  Delivered
+        sets are exported as message ids, whose payloads are in the
+        payload map.  The undelivered and delivered-id sets follow from
+        the rest.  ``on_deliver`` belongs to the host, which passes it
+        back to :meth:`from_state`.
+        """
         return (
-            f"ScdBroadcast(pid={self.pid}, n={self.n}, tag={self.tag!r}, "
-            f"seq={self._next_seq}, clock={self.clock}, "
-            f"forwards={sorted((m, sorted(c.items())) for m, c in self._forwards.items())}, "
-            f"payloads={sorted((m, repr(p)) for m, p in self._payloads.items())}, "
-            f"forwarded={sorted(self._forwarded)}, "
-            f"reorder={sorted((f, sorted(b.items())) for f, b in self._reorder.items())}, "
-            f"next_clock={sorted(self._next_clock.items())}, "
-            f"delivered={self.delivered_sets!r})"
+            self.pid,
+            self.n,
+            self.tag,
+            self._next_seq,
+            self.clock,
+            tuple(sorted(
+                (mid, tuple(sorted(clocks.items())))
+                for mid, clocks in self._forwards.items()
+            )),
+            tuple(sorted(self._payloads.items())),
+            tuple(sorted(self._forwarded)),
+            tuple(sorted(
+                (forwarder, tuple(sorted(buffer.items())))
+                for forwarder, buffer in self._reorder.items()
+            )),
+            tuple(sorted(self._next_clock.items())),
+            tuple(
+                tuple(m.message_id for m in message_set)
+                for message_set in self.delivered_sets
+            ),
         )
+
+    @classmethod
+    def from_state(
+        cls,
+        state: Tuple,
+        on_deliver: Optional[Callable[[Context, MessageSet], None]] = None,
+    ) -> "ScdBroadcast":
+        """Rebuild the component :meth:`export_state` described."""
+        (pid, n, tag, next_seq, clock, forwards, payloads, forwarded,
+         reorder, next_clock, delivered) = state
+        scd = cls(pid, n, tag=tag, on_deliver=on_deliver)
+        scd._next_seq = next_seq
+        scd.clock = clock
+        scd._forwards = {mid: dict(clocks) for mid, clocks in forwards}
+        scd._payloads = dict(payloads)
+        scd._forwarded = set(forwarded)
+        scd._reorder = {forwarder: dict(buffer) for forwarder, buffer in reorder}
+        scd._next_clock = dict(next_clock)
+        scd.delivered_sets = [
+            tuple(ScdMessage(mid[0], mid[1], scd._payloads[mid]) for mid in ids)
+            for ids in delivered
+        ]
+        scd._delivered_ids = {mid for ids in delivered for mid in ids}
+        scd._undelivered = set(scd._payloads) - scd._delivered_ids
+        return scd
 
     # -- broadcasting ------------------------------------------------------
 
@@ -407,6 +452,28 @@ class ScdNode(AsyncProcess):
                     for message_set in self.scd.delivered_sets
                 )
             )
+
+    def export_state(self) -> Tuple:
+        return (
+            self.pid,
+            self.n,
+            tuple(self.payloads),
+            self.expected,
+            self.scd.export_state(),
+            self.delivered_count,
+        )
+
+    @classmethod
+    def from_state(cls, state: Tuple) -> "ScdNode":
+        pid, n, payloads, expected, scd, delivered_count = state
+        node = cls.__new__(cls)
+        node.pid = pid
+        node.n = n
+        node.payloads = list(payloads)
+        node.expected = expected
+        node.scd = ScdBroadcast.from_state(scd, on_deliver=node._count)
+        node.delivered_count = delivered_count
+        return node
 
 
 # ---------------------------------------------------------------------------

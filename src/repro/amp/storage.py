@@ -16,7 +16,7 @@ logs every message to disk should look expensive in the results.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from ..core.volume import payload_units
 
@@ -63,5 +63,13 @@ class StableStorage:
         return iter(self._data.items())
 
     def snapshot(self) -> Dict[object, object]:
-        """A shallow copy of the current contents (for fingerprinting)."""
+        """A shallow copy of the current contents."""
         return dict(self._data)
+
+    def restore(self, items: Iterable[Tuple[object, object]]) -> None:
+        """Replace the contents by ``items`` without counting writes.
+
+        The exploration model loads stored configurations this way: the
+        values were written (and metered) on the path that reached them.
+        """
+        self._data = dict(items)

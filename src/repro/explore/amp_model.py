@@ -1,48 +1,84 @@
-"""AMP adapter: exhaustive delivery/timer/crash orderings.
+"""AMP adapter: exhaustive delivery/timer/crash orderings over explicit states.
 
 In ``AMP_{n,t}`` the adversary's freedom is the *order* in which pending
-messages are delivered (plus when timers fire and who crashes).  The
-branching structure is made explicit by a controlled runtime that holds
-every sent message in a **pending set** instead of a delay heap; a
-choice is one of:
+messages are delivered (plus when timers fire and who crashes).  A
+configuration is an explicit, hashable value (:class:`AmpConfig`):
 
-* ``("deliver", send_seq, dst)`` — deliver a pending message;
-* ``("timer", timer_seq, pid)`` — fire a pending timer;
-* ``("crash", pid)`` — crash a live process (enabled while the model's
-  crash budget lasts);
-* ``("lose", send_seq, dst)`` — the link loses a pending message
-  (enabled while ``max_losses`` lasts);
-* ``("dup", send_seq, dst)`` — the link mints a second copy of a
-  pending message (enabled while ``max_duplications`` lasts);
+* per process (:class:`ProcessConfig`): the state tuple its class
+  exports (``export_state``), its context ``(decided, output,
+  halted)``, its stable-storage items, and its RNG state (``None``
+  until it first draws);
+* the sorted multiset of pending messages ``(src, dst, payload,
+  units)``, where ``units`` is the size metered when the message was
+  sent, and the sorted multiset of pending timers ``(pid, name)``;
+* the fault record: crashed and recovered pids, losses and
+  duplications taken.
+
+Every part is hash-consed through the model's
+:class:`~repro.explore.model.Interner`: equal parts are one object,
+shared by every configuration that holds them.  The configuration is
+its own fingerprint.
+
+A choice names content, never a send counter, so the same move carries
+the same label on every path that reaches a configuration:
+
+* ``("deliver", src, dst, payload)`` — deliver one pending copy;
+* ``("timer", pid, name)`` — fire a pending timer;
+* ``("crash", pid)`` — crash a live process (while ``max_crashes``
+  lasts);
+* ``("lose", src, dst, payload)`` — the link loses one pending copy
+  (while ``max_losses`` lasts);
+* ``("dup", src, dst, payload)`` — the link mints one more copy of a
+  pending message (while ``max_duplications`` lasts);
 * ``("recover", pid)`` — a crashed process comes back with volatile
   state wiped, keeping only ``ctx.stable`` (``allow_recovery=True``;
   each pid recovers at most once per run so faulty branches stay
   finite).
 
-Processes are mutable Python objects and cannot be forked, so the
-search is **stateless**: a configuration is the schedule prefix itself,
-re-executed from fresh ``factory()`` instances on demand (with a small
-materialization cache), and the visited-set fingerprint is a canonical
-digest of process attributes, contexts, the crashed set, and the
-pending message/timer multisets — two prefixes that converge to the
-same global state dedup even though their schedules differ.
+Identical pending copies are one choice: delivering either reaches the
+same configuration.
 
-Independence: two choices commute iff they touch different target
-processes (handlers only mutate their own process; new sends land in
-the pending *multiset*, which ignores order).  Crash choices are
-conservatively dependent on each other (a crash budget makes one crash
-disable another).
+:meth:`AmpModel.step` loads the configuration into one long-lived
+:class:`AmpExplorationRuntime` (``_materialize``: the shared parts plus
+the one process the choice targets, rebuilt by its class's
+``from_state``), applies the choice once, and exports what changed.
+The other processes' parts are carried over by reference.  Virtual time
+is not part of a configuration, so an explored protocol must not read
+``ctx.time``.
 
-Counterexamples record the schedule through a sink-instrumented run and
-replay it byte-identically via :func:`repro.trace.replay.replay`.
+Independence (the sleep-set license): two choices commute when they
+target different processes — a handler mutates only its own process,
+and new sends land in the pending *multiset*, which ignores order —
+with three exceptions, all dependent:
+
+* two crash/recover choices (the crash budget makes one disable or
+  enable the other);
+* two ``lose`` or two ``dup`` choices (they draw on one budget);
+* any pair while fewer than two live processes are unsettled: a choice
+  that settles the last one makes the configuration terminal, which
+  disables everything but ``recover``.
+
+Counterexamples record the schedule through a sink-instrumented runtime,
+where each content label resolves to the oldest pending send (or timer)
+with that content, and replay byte-identically via
+:func:`repro.trace.replay.replay`.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import random
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..amp.network import AsyncProcess, AsyncRuntime, FixedDelay
 from ..core.exceptions import ConfigurationError, ModelViolation
@@ -54,11 +90,6 @@ from .counterexample import Counterexample
 from .model import ExplorationModel, Interner
 
 Choice = Tuple
-Prefix = Tuple[Choice, ...]
-
-#: Materialized runtimes kept by the prefix LRU (BFS siblings share a
-#: parent prefix, so a handful of entries catches most re-materializations).
-MATERIALIZATION_CACHE_SIZE = 8
 
 
 class AmpExplorationRuntime(AsyncRuntime):
@@ -66,9 +97,10 @@ class AmpExplorationRuntime(AsyncRuntime):
 
     ``_send`` parks messages in :attr:`pending` (keyed by a
     deterministic send sequence number) instead of scheduling a
-    delivery; :meth:`apply` executes one exploration choice.  Virtual
-    time advances by 1.0 per applied choice, so recorded traces carry
-    a well-defined, replayable time axis.
+    delivery; :meth:`apply` executes one exploration choice, resolving
+    its content label to the oldest pending send or timer with that
+    content.  Virtual time advances by 1.0 per applied choice, so
+    recorded traces carry a well-defined, replayable time axis.
     """
 
     def __init__(
@@ -145,14 +177,34 @@ class AmpExplorationRuntime(AsyncRuntime):
             if pid not in self.crashed:
                 self.processes[pid].on_start(self.contexts[pid])
 
+    def _pending_seq(self, choice: Choice) -> int:
+        """The oldest pending send carrying ``choice``'s message."""
+        try:
+            _, src, dst, payload = choice
+        except ValueError:
+            raise ConfigurationError(f"malformed choice {choice!r}") from None
+        for seq, (s, d, p, _) in self.pending.items():
+            if s == src and d == dst and p == payload:
+                return seq
+        raise ConfigurationError(f"no pending message p{src}→p{dst} {payload!r}")
+
+    def _timer_seq(self, choice: Choice) -> int:
+        """The oldest pending timer ``choice`` names."""
+        try:
+            _, pid, name = choice
+        except ValueError:
+            raise ConfigurationError(f"malformed choice {choice!r}") from None
+        for seq, timer in self.pending_timers.items():
+            if timer[0] == pid and timer[1] == name:
+                return seq
+        raise ConfigurationError(f"no pending timer {name!r}@p{pid}")
+
     def apply(self, choice: Choice) -> None:
         """Execute one exploration choice (one tick of virtual time)."""
         self.now += 1.0
         kind = choice[0]
         if kind == "deliver":
-            seq = choice[1]
-            if seq not in self.pending:
-                raise ConfigurationError(f"no pending send #{seq}")
+            seq = self._pending_seq(choice)
             src, dst, payload, units = self.pending.pop(seq)
             if dst in self.crashed or self.contexts[dst].halted:
                 raise ConfigurationError(f"delivery to dead process {dst}")
@@ -162,9 +214,7 @@ class AmpExplorationRuntime(AsyncRuntime):
                 self._sink.amp_deliver(seq, src, dst, payload, self.now)
             self.processes[dst].on_message(self.contexts[dst], src, payload)
         elif kind == "timer":
-            seq = choice[1]
-            if seq not in self.pending_timers:
-                raise ConfigurationError(f"no pending timer #{seq}")
+            seq = self._timer_seq(choice)
             pid, name = self.pending_timers.pop(seq)
             if self._sink is not None:
                 self._sink.amp_timer(seq, pid, name, self.now)
@@ -185,17 +235,13 @@ class AmpExplorationRuntime(AsyncRuntime):
                         if self._sink is not None:
                             self._sink.amp_drop_timer(seq, self.now, reason="stale")
         elif kind == "lose":
-            seq = choice[1]
-            if seq not in self.pending:
-                raise ConfigurationError(f"no pending send #{seq}")
+            seq = self._pending_seq(choice)
             del self.pending[seq]
             self.losses += 1
             if self._sink is not None:
                 self._sink.amp_drop(seq, self.now, reason="loss")
         elif kind == "dup":
-            seq = choice[1]
-            if seq not in self.pending:
-                raise ConfigurationError(f"no pending send #{seq}")
+            seq = self._pending_seq(choice)
             copy_seq = self._send_counter
             self._send_counter += 1
             # The copy shares the original's payload (and, in the trace,
@@ -213,14 +259,63 @@ class AmpExplorationRuntime(AsyncRuntime):
             raise ConfigurationError(f"unknown exploration choice {choice!r}")
 
 
+class ProcessConfig(NamedTuple):
+    """One process's part of an :class:`AmpConfig`."""
+
+    state: Hashable               #: what the process's ``export_state`` returned
+    decided: bool
+    output: object
+    halted: bool
+    stable: Tuple[Tuple[object, object], ...]  #: stable-storage items, by key
+    rng: Optional[tuple]          #: ``random.Random`` state; None before a draw
+
+
+class AmpConfig(NamedTuple):
+    """One AMP configuration: hashable, hash-consed, its own fingerprint."""
+
+    processes: Tuple[ProcessConfig, ...]
+    pending: Tuple[Tuple[int, int, object, int], ...]  #: sorted (src, dst, payload, units)
+    timers: Tuple[Tuple[int, object], ...]              #: sorted (pid, name)
+    crashed: Tuple[int, ...]
+    recovered: Tuple[int, ...]
+    losses: int
+    duplicated: int
+
+
+def _canonical(items: Iterable) -> tuple:
+    """A multiset's canonical form: its items as a sorted tuple.
+
+    Items that do not compare (say an ``int`` and a ``str`` payload on
+    one channel) are ordered by ``repr`` instead.
+    """
+    items = list(items)
+    try:
+        items.sort()
+    except TypeError:
+        items.sort(key=repr)
+    return tuple(items)
+
+
+#: Choices that name a message: ``(kind, src, dst, payload)``.
+_MESSAGE_CHOICES = frozenset({"deliver", "lose", "dup"})
+
+
+def _target(choice: Choice) -> object:
+    """The pid a choice acts on (a message's destination)."""
+    return choice[2] if choice[0] in _MESSAGE_CHOICES else choice[1]
+
+
 class AmpModel(ExplorationModel):
     """Every delivery order (and crash pattern) of an AMP protocol.
 
     Parameters
     ----------
     factory:
-        Zero-argument callable returning fresh process instances — one
-        list per materialization (processes are stateful).
+        Zero-argument callable returning fresh process instances.
+        Every process class must offer ``export_state()`` (a hashable
+        tuple of the process's state) and a ``from_state(state)``
+        classmethod rebuilding it; a class without them raises
+        :class:`ConfigurationError`.
     seed:
         The runtime seed (feeds per-process RNGs); recorded
         counterexamples replay with the same seed.
@@ -241,8 +336,8 @@ class AmpModel(ExplorationModel):
     Configurations where every live process has decided or halted are
     terminal even if messages remain in flight: their deliveries can no
     longer change any output.  Only ``("recover", pid)`` choices stay
-    enabled there.  Materialized runtimes go through an LRU of
-    :data:`MATERIALIZATION_CACHE_SIZE` prefixes.
+    enabled there.  The initial configuration is built on the first
+    :meth:`initial` call, not here.
     """
 
     kernel = "amp"
@@ -268,138 +363,237 @@ class AmpModel(ExplorationModel):
         self.max_losses = max_losses
         self.max_duplications = max_duplications
         self.allow_recovery = allow_recovery
-        self.n = len(list(factory()))
+        self._classes = tuple(type(process) for process in factory())
+        self.n = len(self._classes)
+        for cls in self._classes:
+            if not (
+                callable(getattr(cls, "export_state", None))
+                and callable(getattr(cls, "from_state", None))
+            ):
+                raise ConfigurationError(
+                    f"{cls.__name__} has no export_state()/from_state(): "
+                    "AmpModel explores explicit process states"
+                )
         self._intern = Interner()
-        self._cache: "OrderedDict[Prefix, AmpExplorationRuntime]" = OrderedDict()
+        self._runtime: Optional[AmpExplorationRuntime] = None
+        self._initial: Optional[AmpConfig] = None
+        #: process state → read-only process object (see processes())
+        self._views: Dict[Hashable, AsyncProcess] = {}
 
-    # -- stateless materialization ----------------------------------------
+    # -- configurations ----------------------------------------------------
 
-    def _materialize(self, prefix: Prefix) -> AmpExplorationRuntime:
-        runtime = self._cache.get(prefix)
-        if runtime is not None:
-            self._cache.move_to_end(prefix)
-            return runtime
-        runtime = AmpExplorationRuntime(
-            list(self.factory()),
-            seed=self.seed,
-            recovery_enabled=self.allow_recovery,
-        )
-        runtime.start()
-        for choice in prefix:
-            runtime.apply(choice)
-        self._cache[prefix] = runtime
-        while len(self._cache) > MATERIALIZATION_CACHE_SIZE:
-            self._cache.popitem(last=False)
+    def _export_process(self, runtime: AmpExplorationRuntime, pid: int) -> ProcessConfig:
+        intern = self._intern
+        ctx = runtime.contexts[pid]
+        rng = runtime._proc_rngs.get(pid)
+        return intern(ProcessConfig(
+            intern(runtime.processes[pid].export_state()),
+            ctx.decided,
+            ctx.output,
+            ctx.halted,
+            intern(_canonical(runtime.storages[pid].items())),
+            None if rng is None else intern(rng.getstate()),
+        ))
+
+    def _export(
+        self,
+        runtime: AmpExplorationRuntime,
+        processes: Tuple[ProcessConfig, ...],
+        loaded: int,
+    ) -> AmpConfig:
+        """The configuration ``runtime`` holds, with ``processes`` as given.
+
+        Pending sends numbered below ``loaded`` came from the loaded
+        configuration and are interned already.
+        """
+        intern = self._intern
+        pending = [
+            message if seq < loaded else intern(message)
+            for seq, message in runtime.pending.items()
+        ]
+        return intern(AmpConfig(
+            processes,
+            intern(_canonical(pending)),
+            intern(_canonical(runtime.pending_timers.values())),
+            intern(tuple(sorted(runtime.crashed))),
+            intern(tuple(sorted(runtime.recovered))),
+            runtime.losses,
+            runtime.duplicated,
+        ))
+
+    def _materialize(
+        self, config: AmpConfig, pid: Optional[int] = None
+    ) -> AmpExplorationRuntime:
+        """Load ``config`` into the reused runtime.
+
+        Only process ``pid`` (the one the next choice acts on, if any)
+        is rebuilt from its state: one choice runs one handler, so the
+        other processes are never touched.
+        """
+        if self._runtime is None:
+            self.initial()
+        runtime = self._runtime
+        runtime.now = 0.0
+        runtime.pending = dict(enumerate(config.pending))
+        runtime._send_counter = len(config.pending)
+        runtime.pending_timers = dict(enumerate(config.timers))
+        runtime._timer_counter = len(config.timers)
+        runtime.crashed = set(config.crashed)
+        runtime.recovered = set(config.recovered)
+        runtime.losses = config.losses
+        runtime.duplicated = config.duplicated
+        if pid is not None:
+            if not (isinstance(pid, int) and 0 <= pid < self.n):
+                raise ConfigurationError(f"no process {pid!r}")
+            slot = config.processes[pid]
+            runtime.processes[pid] = self._classes[pid].from_state(slot.state)
+            ctx = runtime.contexts[pid]
+            ctx.decided, ctx.output, ctx.halted = slot.decided, slot.output, slot.halted
+            runtime.storages[pid].restore(slot.stable)
+            if slot.rng is None:
+                runtime._proc_rngs.pop(pid, None)
+            else:
+                rng = random.Random()
+                rng.setstate(slot.rng)
+                runtime._proc_rngs[pid] = rng
         return runtime
+
+    def _unsettled(self, config: AmpConfig) -> int:
+        """Live processes that have neither decided nor halted."""
+        crashed = config.crashed
+        return sum(
+            1
+            for pid, slot in enumerate(config.processes)
+            if pid not in crashed and not (slot.decided or slot.halted)
+        )
 
     # -- the model contract ------------------------------------------------
 
-    def initial(self) -> Prefix:
-        return ()
+    def initial(self) -> AmpConfig:
+        if self._initial is None:
+            runtime = AmpExplorationRuntime(
+                list(self.factory()),
+                seed=self.seed,
+                recovery_enabled=self.allow_recovery,
+            )
+            runtime.start()
+            self._runtime = runtime
+            processes = self._intern(tuple(
+                self._export_process(runtime, pid) for pid in range(self.n)
+            ))
+            self._initial = self._export(runtime, processes, loaded=0)
+        return self._initial
 
-    def enabled(self, prefix: Prefix) -> List[Choice]:
-        runtime = self._materialize(prefix)
+    def enabled(self, config: AmpConfig) -> List[Choice]:
         choices: List[Choice] = []
-        if not runtime._all_settled():
-            for seq in sorted(runtime.pending):
-                dst = runtime.pending[seq][1]
-                if dst not in runtime.crashed and not runtime.contexts[dst].halted:
-                    choices.append(("deliver", seq, dst))
-                if runtime.losses < self.max_losses:
-                    choices.append(("lose", seq, dst))
-                if runtime.duplicated < self.max_duplications:
-                    choices.append(("dup", seq, dst))
-            for seq in sorted(runtime.pending_timers):
-                pid, _ = runtime.pending_timers[seq]
-                if pid not in runtime.crashed and not runtime.contexts[pid].halted:
-                    choices.append(("timer", seq, pid))
-            if len(runtime.crashed) < self.max_crashes:
+        crashed = config.crashed
+        if self._unsettled(config):
+            processes = config.processes
+            lose = config.losses < self.max_losses
+            dup = config.duplicated < self.max_duplications
+            previous = None
+            for message in config.pending:
+                if message == previous:
+                    continue  # identical copies: one choice
+                previous = message
+                src, dst, payload, _ = message
+                if dst not in crashed and not processes[dst].halted:
+                    choices.append(("deliver", src, dst, payload))
+                if lose:
+                    choices.append(("lose", src, dst, payload))
+                if dup:
+                    choices.append(("dup", src, dst, payload))
+            previous = None
+            for timer in config.timers:
+                if timer == previous:
+                    continue
+                previous = timer
+                pid, name = timer
+                if pid not in crashed and not processes[pid].halted:
+                    choices.append(("timer", pid, name))
+            if len(crashed) < self.max_crashes:
                 for pid in range(self.n):
-                    if pid not in runtime.crashed:
+                    if pid not in crashed:
                         choices.append(("crash", pid))
         if self.allow_recovery:
             # Recovery stays on the menu even in settled configurations:
             # a recovered process may un-settle the run (that branch is
             # exactly where memory-only protocols break).
-            for pid in sorted(runtime.crashed):
-                if pid not in runtime.recovered:
+            for pid in crashed:
+                if pid not in config.recovered:
                     choices.append(("recover", pid))
         return choices
 
-    def step(self, prefix: Prefix, choice: Choice) -> Prefix:
-        return prefix + (choice,)
-
-    def fingerprint(self, prefix: Prefix) -> str:
-        runtime = self._materialize(prefix)
-        parts: List[object] = []
-        for pid in range(self.n):
-            parts.append(sorted(
-                (k, repr(v)) for k, v in vars(runtime.processes[pid]).items()
-            ))
-            ctx = runtime.contexts[pid]
-            parts.append((ctx.decided, repr(ctx.output), ctx.halted))
-            rng = runtime._proc_rngs.get(pid)
-            if rng is not None:
-                parts.append(repr(rng.getstate()))
-        parts.append(sorted(runtime.crashed))
-        parts.append(sorted(runtime.recovered))
-        parts.append((runtime.losses, runtime.duplicated))
-        parts.append([
-            sorted(
-                (repr(k), repr(v))
-                for k, v in runtime.storages[pid].snapshot().items()
+    def step(self, config: AmpConfig, choice: Choice) -> AmpConfig:
+        kind = choice[0]
+        if kind == "deliver":
+            pid = choice[2]
+        elif kind in ("timer", "recover"):
+            pid = choice[1]
+        else:
+            pid = None  # no handler runs
+        runtime = self._materialize(config, pid)
+        runtime.apply(choice)
+        processes = config.processes
+        if pid is not None:
+            processes = self._intern(
+                processes[:pid]
+                + (self._export_process(runtime, pid),)
+                + processes[pid + 1:]
             )
-            for pid in range(self.n)
-        ])
-        parts.append(sorted(
-            (src, dst, repr(payload))
-            for (src, dst, payload, _) in runtime.pending.values()
-        ))
-        parts.append(sorted(
-            (pid, repr(name)) for (pid, name) in runtime.pending_timers.values()
-        ))
-        digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
-        return self._intern(digest)
+        return self._export(runtime, processes, loaded=len(config.pending))
 
-    def processes(self, prefix: Prefix) -> List[AsyncProcess]:
-        """The materialized process objects after ``prefix``.
+    def fingerprint(self, config: AmpConfig) -> AmpConfig:
+        return config  # hash-consed: equal configurations are one object
+
+    def processes(self, config: AmpConfig) -> List[AsyncProcess]:
+        """Process objects rebuilt from ``config``'s process states.
 
         Read-only by contract: properties inspect protocol state the
         processes expose (delivery histories, views) beyond the bare
-        ``decisions`` map.  Mutating them would corrupt the prefix
-        cache.
+        ``decisions`` map, and one object serves every configuration
+        holding its state.  A search meets far fewer process states
+        than configurations, so the objects are kept.
         """
-        return list(self._materialize(prefix).processes)
+        views = self._views
+        out = []
+        for cls, slot in zip(self._classes, config.processes):
+            view = views.get(slot.state)
+            if view is None:
+                view = views[slot.state] = cls.from_state(slot.state)
+            out.append(view)
+        return out
 
-    def decisions(self, prefix: Prefix) -> Dict[int, object]:
-        runtime = self._materialize(prefix)
+    def decisions(self, config: AmpConfig) -> Dict[int, object]:
         return {
-            pid: runtime.contexts[pid].output
-            for pid in range(self.n)
-            if runtime.contexts[pid].decided
+            pid: slot.output
+            for pid, slot in enumerate(config.processes)
+            if slot.decided
         }
 
-    def crashed(self, prefix: Prefix) -> frozenset:
-        return frozenset(self._materialize(prefix).crashed)
+    def crashed(self, config: AmpConfig) -> frozenset:
+        return frozenset(config.crashed)
 
     _FAULT_CHOICES = frozenset({"crash", "recover"})
 
-    def independent(self, prefix: Prefix, a: Choice, b: Choice) -> bool:
+    def independent(self, config: AmpConfig, a: Choice, b: Choice) -> bool:
         if a[0] in self._FAULT_CHOICES and b[0] in self._FAULT_CHOICES:
-            # Budgets make one fault choice disable/enable another.
+            return False  # the crash budget: one disables/enables the other
+        if a[0] == b[0] and a[0] in ("lose", "dup"):
+            return False  # one loss (or duplication) budget for both
+        if _target(a) == _target(b):
             return False
-        return a[-1] != b[-1]  # distinct target processes commute
+        # With one unsettled live process left, a choice that settles it
+        # makes the configuration terminal and disables the other.
+        return self._unsettled(config) >= 2
 
     def describe_choice(self, choice: Choice) -> str:
         kind = choice[0]
-        if kind == "deliver":
-            return f"deliver #{choice[1]}→p{choice[2]}"
+        if kind in _MESSAGE_CHOICES:
+            _, src, dst, payload = choice
+            return f"{kind} p{src}→p{dst} {payload!r}"
         if kind == "timer":
-            return f"timer #{choice[1]}@p{choice[2]}"
-        if kind == "lose":
-            return f"lose #{choice[1]}→p{choice[2]}"
-        if kind == "dup":
-            return f"dup #{choice[1]}→p{choice[2]}"
+            return f"timer {choice[2]!r}@p{choice[1]}"
         if kind == "recover":
             return f"recover p{choice[1]}"
         return f"crash p{choice[1]}"

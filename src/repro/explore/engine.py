@@ -13,14 +13,13 @@ which end of the frontier they pop).  Two reductions keep it tractable:
   child.  Combined with state caching this needs the classic fix:
   the sleep set is stored with each visited state, and a revisit with a
   *smaller* sleep set wakes exactly the stored-minus-new choices.
-  When choice labels are stable across converging prefixes (shm pid
-  choices, grid axes), sleep sets preserve every reachable state — the
-  reduction is purely in transitions.  Labels that embed
-  prefix-dependent identity (AMP send sequence numbers, on protocols
-  whose sends depend on deliveries) alias in the per-fingerprint
-  stored sleep sets, making the pruned state set traversal-order
-  dependent; use ``reduce=False`` for exhaustive claims on such
-  models (docs/EXPLORER.md, "The stability caveat").
+  Sleep sets preserve every reachable state — the reduction is purely
+  in transitions — provided two things hold: choice labels are stable
+  (the same move carries the same label on every path to a
+  configuration: shm pids, AMP message contents, grid axes), and
+  ``independent`` is sound (two choices it calls independent commute
+  and neither disables the other; docs/EXPLORER.md, "Sleep sets and
+  soundness").
 
 Properties (:mod:`repro.explore.properties`) are checked once per
 unique state; the first violation's schedule is materialized into a
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -444,19 +442,9 @@ def explore(
 ) -> ExploreResult:
     """One-call front door: build an :class:`Explorer` and run it.
 
-    Sleep sets over an AMP model warn (one :class:`UserWarning` per call):
-    AMP choice labels are not prefix-stable, so the reduced state set
-    depends on traversal order; ``reduce=False`` gives exhaustive claims.
+    ``reduce=True`` (sleep sets) and ``reduce=False`` visit the same
+    states on every shipped model; the reduction only skips transitions.
     """
-    if reduce and model.kernel == "amp":
-        warnings.warn(
-            "explore(reduce=True) on an AMP model: AMP choice labels are not "
-            "prefix-stable, so sleep sets may prune reachable states "
-            "depending on traversal order; pass reduce=False for an "
-            "exhaustive search (docs/EXPLORER.md, 'The stability caveat')",
-            UserWarning,
-            stacklevel=2,
-        )
     return Explorer(
         model, properties=properties, strategy=strategy,
         reduce=reduce, stop_on_first=stop_on_first,
@@ -472,8 +460,8 @@ def state_graph(
     No reduction — valence and cycle analyses need every edge
     (:mod:`repro.shm.bivalence` runs on this).  Configurations are used
     as keys directly, so the model's configurations must be hashable
-    and canonical (true for the shm adapter, whose fingerprint *is* the
-    configuration).
+    and canonical (true for the shm and AMP adapters, whose fingerprint
+    *is* the configuration).
     """
     initial = model.initial()
     graph: Dict[Config, List[Tuple[Choice, Config]]] = {}

@@ -90,7 +90,7 @@ class ExplorationModel:
         Two configurations mapping to the same fingerprint must be
         behaviorally identical (same enabled choices, same futures).
         A coarser-than-identity fingerprint is how stateless adapters
-        (AMP) recognize that two schedule prefixes converged.
+        (sync) recognize that two schedule prefixes converged.
         """
         return config
 

@@ -13,6 +13,11 @@ The explorer's acceptance tests need both directions of the coin:
   with ``quorum == n`` and agreement-violating with a premature
   quorum, exercising the message-delivery branching the same way.
 
+Every AMP process here (and :class:`~repro.amp.scd.ScdNode`) exports
+its state as a hashable tuple (``export_state``) and is rebuilt from
+one (``from_state``): :class:`~repro.explore.amp_model.AmpModel`
+keeps configurations as those tuples and explores nothing else.
+
 Verdicts reuse :data:`~repro.shm.adoptcommit.COMMIT` /
 :data:`~repro.shm.adoptcommit.ADOPT`, and the coherence/convergence
 properties below plug into the explorer's property API.
@@ -221,6 +226,17 @@ class FloodMinProcess(AsyncProcess):
             ctx.decide(min(self.seen.values()))
             ctx.halt()
 
+    def export_state(self) -> Tuple:
+        # ``seen`` keeps arrival order: it is part of the process's state.
+        return (self.value, self.quorum, tuple(self.seen.items()))
+
+    @classmethod
+    def from_state(cls, state: Tuple) -> "FloodMinProcess":
+        value, quorum, seen = state
+        process = cls(value, quorum)
+        process.seen = dict(seen)
+        return process
+
 
 def make_flood_min(
     values: Sequence[object], quorum: Optional[int] = None
@@ -273,6 +289,16 @@ class QuorumAcceptor(AsyncProcess):
         if self.durable:
             self.voted = ctx.stable.get("voted")
 
+    def export_state(self) -> Tuple:
+        return (self.durable, self.voted)
+
+    @classmethod
+    def from_state(cls, state: Tuple) -> "QuorumAcceptor":
+        durable, voted = state
+        acceptor = cls(durable)
+        acceptor.voted = voted
+        return acceptor
+
 
 class QuorumProposer(AsyncProcess):
     """Ask the acceptor for its vote; commit own value iff granted."""
@@ -294,6 +320,13 @@ class QuorumProposer(AsyncProcess):
         elif tag == "denied":
             ctx.decide(("abort", value))
             ctx.halt()
+
+    def export_state(self) -> Tuple:
+        return (self.value, self.acceptor)
+
+    @classmethod
+    def from_state(cls, state: Tuple) -> "QuorumProposer":
+        return cls(*state)
 
 
 def make_quorum_commit(

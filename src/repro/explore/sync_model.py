@@ -8,11 +8,11 @@ from a caller-supplied candidate generator (the model stays bounded
 because the generator enumerates a finite menu, e.g. "drop at most one
 message", not the full powerset).
 
-Like the AMP adapter the search is stateless: a configuration is the
-tuple of adversary choices so far, re-executed through the real
-:class:`~repro.sync.kernel.SynchronousRunner` with a probing adversary
-that replays the prefix and then captures the next round's send set
-(so ``enabled`` sees real sends, not a guess).
+Unlike the shm and AMP adapters, the search is stateless: a
+configuration is the tuple of adversary choices so far, re-executed
+through the real :class:`~repro.sync.kernel.SynchronousRunner` with a
+probing adversary that replays the prefix and then captures the next
+round's send set (so ``enabled`` sees real sends, not a guess).
 
 Rounds are sequential — there is nothing to commute — so
 ``independent`` stays ``False`` and the gains come from fingerprint

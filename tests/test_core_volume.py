@@ -415,8 +415,8 @@ class TestMeasureOncePerBroadcast:
         )
         runtime.start()
         while runtime.pending:
-            seq = min(runtime.pending)
-            runtime.apply(("deliver", seq, runtime.pending[seq][1]))
+            src, dst, payload, _ = runtime.pending[min(runtime.pending)]
+            runtime.apply(("deliver", src, dst, payload))
         _check(metering_spy, runtime.result())
 
     @pytest.mark.parametrize("with_sink", [False, True])

@@ -144,8 +144,10 @@ class TestModelMechanics:
         a, b = deliveries
         ab = model.step(model.step(initial, a), b)
         ba = model.step(model.step(initial, b), a)
-        assert ab != ba  # different prefixes...
-        assert model.fingerprint(ab) == model.fingerprint(ba)  # ...same state
+        # Two schedules, one configuration: hash-consed into one object,
+        # which is its own fingerprint.
+        assert ab is ba
+        assert model.fingerprint(ab) is ab
 
     def test_independence_distinguishes_targets(self):
         model = AmpModel(make_flood_min([1, 0, 2]), max_crashes=2)
@@ -165,21 +167,37 @@ class TestModelMechanics:
 
     def test_invalid_choice_rejected(self):
         model = AmpModel(make_flood_min([1, 0]))
-        # step() is lazy (a prefix append); materialization validates.
-        bad = model.step(model.initial(), ("warp", 3))
-        with pytest.raises(ConfigurationError):
-            model.enabled(bad)
-        runtime_misuse = model._materialize(model.initial())
+        initial = model.initial()
+        # step() applies the choice at once, so it is step that rejects.
+        for bad in [
+            ("warp", 3),
+            ("deliver", 0, 1, ("val", 99)),  # no such message pending
+            ("deliver", 0, 1),  # a send-seq label: malformed now
+            ("deliver", 0, 7, ("val", 1)),  # no process 7
+        ]:
+            with pytest.raises(ConfigurationError):
+                model.step(initial, bad)
+        runtime_misuse = model._materialize(initial)
         with pytest.raises(ConfigurationError):
             runtime_misuse.run()
 
     def test_describe_choice(self):
         model = AmpModel(make_flood_min([1, 0]))
-        assert model.describe_choice(("deliver", 0, 1)) == "deliver #0→p1"
-        assert model.describe_choice(("timer", 2, 0)) == "timer #2@p0"
+        message = ("val", 1)
+        assert (
+            model.describe_choice(("deliver", 0, 1, message))
+            == "deliver p0→p1 ('val', 1)"
+        )
+        assert model.describe_choice(("timer", 0, "tick")) == "timer 'tick'@p0"
         assert model.describe_choice(("crash", 1)) == "crash p1"
-        assert model.describe_choice(("lose", 0, 1)) == "lose #0→p1"
-        assert model.describe_choice(("dup", 0, 1)) == "dup #0→p1"
+        assert (
+            model.describe_choice(("lose", 0, 1, message))
+            == "lose p0→p1 ('val', 1)"
+        )
+        assert (
+            model.describe_choice(("dup", 0, 1, message))
+            == "dup p0→p1 ('val', 1)"
+        )
         assert model.describe_choice(("recover", 1)) == "recover p1"
 
 
@@ -210,8 +228,15 @@ class TestLinkFaultExploration:
         after = model.step(initial, dups[0])
         enabled = model.enabled(after)
         assert not any(c[0] == "dup" for c in enabled)
-        # The clone is independently deliverable (new seq, same dst).
-        assert sum(1 for c in enabled if c[0] == "deliver") == 3
+        # Three copies are pending, but the two identical ones are one
+        # deliver choice: either copy reaches the same configuration.
+        assert len(after.pending) == 3
+        assert sum(1 for c in enabled if c[0] == "deliver") == 2
+        src, dst, payload = dups[0][1:]
+        once = model.step(after, ("deliver", src, dst, payload))
+        # One copy was delivered; its twin is still in flight.
+        assert len(once.pending) == 2
+        assert any(m[:3] == (src, dst, payload) for m in once.pending)
 
     def test_no_fault_budgets_means_no_fault_choices(self):
         model = AmpModel(make_flood_min([1, 0]))
@@ -319,18 +344,16 @@ class _Corner(ExplorationModel):
 
 
 class TestPorStabilityWarning:
-    """Sleep sets over AMP choice labels can prune reachable states
-    (docs/EXPLORER.md, "The stability caveat"), so ``reduce=True`` on an
-    AMP model warns; every other model and every ``reduce=False`` run is
-    silent."""
+    """Sleep sets are sound on every model, AMP included, so no
+    ``explore()`` call warns, whatever ``reduce`` is."""
 
-    def test_reduce_on_amp_warns_once_per_call(self):
-        for _ in range(2):
-            with pytest.warns(UserWarning, match="not prefix-stable") as caught:
-                result = explore(AmpModel(make_flood_min([1, 0])))
-            assert result.complete
-            assert len(caught) == 1
-            assert "reduce=False" in str(caught[0].message)
+    def test_reduce_on_amp_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced = explore(AmpModel(make_flood_min([1, 0])))
+        assert reduced.complete
+        naive = explore(AmpModel(make_flood_min([1, 0])), reduce=False)
+        assert reduced.stats.states == naive.stats.states
 
     @pytest.mark.parametrize(
         "model, reduce",

@@ -26,8 +26,23 @@ from repro.explore import (
 #: The pinned schedule (deliver choices) of the non-total-order
 #: counterexample found below.  Exploration is deterministic, so this
 #: exact schedule is rediscovered every run; a change here means the
-#: search order or the protocol changed and the witness moved.
-PINNED_SCHEDULE = (("deliver", 0, 1), ("deliver", 3, 2), ("deliver", 7, 1))
+#: search order or the protocol changed and the witness moved.  Labels
+#: name message content: p0's forward of "a" to p1, p1's forward of "b"
+#: to p2, then p2's forward of "b" to p1.
+PINNED_SCHEDULE = (
+    ("deliver", 0, 1, ("scd", "fwd", (0, 0), "a", 0, 1)),
+    ("deliver", 1, 2, ("scd", "fwd", (1, 0), "b", 1, 1)),
+    ("deliver", 2, 1, ("scd", "fwd", (1, 0), "b", 2, 1)),
+)
+
+#: The witness's recorded trace.  It was first recorded when choices
+#: were labelled by send sequence numbers, as
+#: ``(("deliver", 0, 1), ("deliver", 3, 2), ("deliver", 7, 1))``; the
+#: content schedule above delivers the same three sends (runtime send
+#: seqs 0, 3 and 7), so the trace is byte-identical.
+PINNED_TRACE_HASH = (
+    "182f116f47e988dfff42b9f6b236e75cd4e144530990561ff175310e895c0d01"
+)
 
 
 def two_broadcasters():
@@ -36,10 +51,8 @@ def two_broadcasters():
 
 class TestInvariantsHoldExhaustively:
     def test_coherence_and_termination_clean_and_complete(self):
-        # reduce=False: the "every schedule" claim must cover the exact
-        # reachable set.  Sleep-set POR under-explores SCD because AMP
-        # send seqs alias across converging prefixes (the stability
-        # caveat in docs/EXPLORER.md; pinned by
+        # reduce=False checks every transition, not only every state
+        # (sleep sets visit the same states: see
         # TestSleepSetAliasing.test_scd_choice_label_aliasing below).
         result = explore(
             AmpModel(two_broadcasters()),
@@ -65,20 +78,20 @@ class TestInvariantsHoldExhaustively:
 
 class TestSleepSetAliasing:
     def test_scd_choice_label_aliasing(self):
-        # SCD is the documented case where POR state counts are
-        # traversal-order-dependent: AMP deliveries are labelled with
-        # send seqs that differ across converging prefixes while
-        # fingerprints ignore them, so per-fingerprint sleep sets alias
-        # choices (docs/EXPLORER.md, "The stability caveat").  The
-        # exhaustive count is stated at reduce=False, and POR's
-        # under-exploration is pinned so a fix to choice labelling
-        # shows up here as a deliberate test update, not silent drift.
+        # Sleep sets once kept 3,295 of SCD's 4,037 states.  The cause
+        # was the independence relation (a delivery that settles the
+        # last undecided process disables every other choice), not
+        # choice labels; with that fixed and content labels in place,
+        # POR visits every state and only skips transitions
+        # (docs/EXPLORER.md, "Sleep sets and soundness").
         truth = explore(AmpModel(two_broadcasters()), reduce=False)
         assert truth.complete
         assert truth.stats.states == 4037
         assert truth.stats.transitions == 10690
         reduced = explore(AmpModel(two_broadcasters()), reduce=True)
-        assert reduced.stats.states == 3295  # < 4037: aliasing prunes states
+        assert reduced.complete
+        assert reduced.stats.states == 4037
+        assert reduced.stats.transitions < truth.stats.transitions
 
 
 class TestScdIsNotTotalOrder:
@@ -97,6 +110,7 @@ class TestScdIsNotTotalOrder:
 
     def test_counterexample_schedule_is_pinned(self, result):
         assert result.violations[0].schedule == PINNED_SCHEDULE
+        assert result.violations[0].counterexample.trace_hash == PINNED_TRACE_HASH
 
     def test_counterexample_replays_identically(self, result):
         cx = result.violations[0].counterexample
